@@ -7,7 +7,7 @@ package reimplements the entire system described in the paper:
 - three file levels (linear / multidimensional / array striping, §3),
 - round-robin and greedy brick placement (§4.1),
 - request combination with staggered scheduling (§4.2),
-- database-backed metadata on an embedded SQL engine built here (§5),
+- database-backed metadata on the standard library's sqlite3 (§5),
 - the DPFS-Open/Read/Write/Close API with MPI-IO-style derived
   datatypes and a hint structure (§6),
 - a UNIX-like shell user interface (§7),

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..errors import IntentError, MetaDBError
+from ..errors import IntentError
 from ..metadb import Database
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,7 +69,7 @@ class Intent:
     commit_step: str
     #: wall-clock creation time (``time.time()``); lets recovery tell a
     #: freshly-begun intent of a *live* client from one a dead client
-    #: abandoned.  0.0 for rows migrated from pre-timestamp journals.
+    #: abandoned.
     created_at: float = 0.0
 
     def age_s(self, now: float | None = None) -> float:
@@ -104,49 +104,6 @@ class IntentLog:
             " commit_step TEXT NOT NULL,"
             " created_at REAL NOT NULL)"
         )
-        self._migrate_missing_created_at()
-
-    def _migrate_missing_created_at(self) -> None:
-        """Rebuild a pre-timestamp journal with ``created_at`` rows.
-
-        Migrated intents get ``created_at = 0.0`` — infinitely old — so
-        a recovery sweep with any grace period still picks them up (a
-        journal left by an older client is by definition abandoned).
-        """
-        try:
-            self.db.execute("SELECT created_at FROM dpfs_intent")
-            return
-        except MetaDBError:
-            pass
-        rows = self.db.execute(
-            "SELECT intent_id, op, args, steps, done, commit_step "
-            "FROM dpfs_intent"
-        ).rows
-        with self.db.transaction():
-            self.db.execute("DROP TABLE dpfs_intent")
-            self.db.execute(
-                "CREATE TABLE dpfs_intent ("
-                " intent_id TEXT PRIMARY KEY,"
-                " op TEXT NOT NULL,"
-                " args JSON NOT NULL,"
-                " steps JSON NOT NULL,"
-                " done JSON NOT NULL,"
-                " commit_step TEXT NOT NULL,"
-                " created_at REAL NOT NULL)"
-            )
-            for row in rows:
-                self.db.execute(
-                    "INSERT INTO dpfs_intent VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    [
-                        row["intent_id"],
-                        row["op"],
-                        row["args"],
-                        row["steps"],
-                        row["done"],
-                        row["commit_step"],
-                        0.0,
-                    ],
-                )
 
     # ------------------------------------------------------------------
     def begin(

@@ -1,4 +1,4 @@
-"""DPFS metadata management on the embedded SQL database (§5).
+"""DPFS metadata management on a SQL database (§5).
 
 The paper keeps all file-system metadata in four POSTGRES tables,
 manipulated through SQL; transactions guarantee consistency of
@@ -99,6 +99,25 @@ class FileRecord:
     def __post_init__(self) -> None:
         if not self.brick_crcs:
             self.brick_crcs = [None] * len(self.brick_sizes)
+
+
+# One brick-size row per (server, brick) of every distribution and
+# replica bricklist.  CROSS JOIN fixes the join order: expanding the
+# bricklist first means an empty list (a server holding none of the
+# file's bricks) costs no attr lookup.
+_BRICK_SIZES_OF = (
+    "SELECT d.server_name AS server_name,"
+    " json_extract(a.geometry, '$.brick_sizes[' || b.value || ']') AS size"
+    " FROM {} AS d CROSS JOIN json_each(d.bricklist) AS b"
+    " CROSS JOIN dpfs_file_attr AS a WHERE a.filename = d.filename"
+)
+_SERVER_USAGE_SQL = (
+    "SELECT server_name, SUM(size) AS used FROM ("
+    + _BRICK_SIZES_OF.format("dpfs_file_distribution")
+    + " UNION ALL "
+    + _BRICK_SIZES_OF.format("dpfs_file_replica")
+    + ") GROUP BY server_name"
+)
 
 
 class MetadataManager:
@@ -694,23 +713,9 @@ class MetadataManager:
         """Physical bytes each server holds (sum of its bricks' sizes)."""
         order = {row["server_name"]: row["server_id"] for row in self.servers()}
         usage = {server_id: 0 for server_id in order.values()}
-        attrs = {
-            row["filename"]: row["geometry"]["brick_sizes"]
-            for row in self.db.execute(
-                "SELECT filename, geometry FROM dpfs_file_attr"
-            ).rows
-        }
-        for table in ("dpfs_file_distribution", "dpfs_file_replica"):
-            for row in self.db.execute(
-                f"SELECT server_name, filename, bricklist FROM {table}"
-            ).rows:
-                sizes = attrs.get(row["filename"])
-                if sizes is None:
-                    continue
-                server_id = order.get(row["server_name"])
-                if server_id is None:
-                    continue
-                usage[server_id] += sum(sizes[b] for b in row["bricklist"])
+        for row in self.db.execute(_SERVER_USAGE_SQL).rows:
+            if row["server_name"] in order:
+                usage[order[row["server_name"]]] = row["used"]
         return usage
 
     def set_permission(self, path: str, permission: int) -> None:

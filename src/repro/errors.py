@@ -34,8 +34,6 @@ __all__ = [
     "RetryExhausted",
     # metadata database
     "MetaDBError",
-    "SQLSyntaxError",
-    "SchemaError",
     "ConstraintError",
     "TransactionError",
     # simulation
@@ -170,15 +168,8 @@ class RetryExhausted(DispatchError):
 # ---------------------------------------------------------------------------
 
 class MetaDBError(DPFSError):
-    """Base class for the embedded SQL engine."""
-
-
-class SQLSyntaxError(MetaDBError):
-    """The SQL text could not be tokenized or parsed."""
-
-
-class SchemaError(MetaDBError):
-    """Unknown table/column, duplicate table, arity mismatch..."""
+    """Base class for metadata-database errors (bad SQL, unknown table,
+    unreadable database file...)."""
 
 
 class ConstraintError(MetaDBError):

@@ -165,30 +165,6 @@ def test_mount_time_recovery_spares_fresh_intents():
     assert fs2.intents.pending() == []
 
 
-def test_journal_without_timestamps_migrates_as_abandoned(tmp_path):
-    """Rows from a pre-``created_at`` journal come back infinitely old,
-    so any grace period still lets recovery claim them."""
-    meta = tmp_path / "meta.db"
-    db = Database(meta)
-    db.execute(
-        "CREATE TABLE dpfs_intent ("
-        " intent_id TEXT PRIMARY KEY,"
-        " op TEXT NOT NULL,"
-        " args JSON NOT NULL,"
-        " steps JSON NOT NULL,"
-        " done JSON NOT NULL,"
-        " commit_step TEXT NOT NULL)"
-    )
-    db.execute(
-        "INSERT INTO dpfs_intent VALUES (?, ?, ?, ?, ?, ?)",
-        ["i00000001", "remove", {"path": "/old"}, ["remove-metadata"], [], ""],
-    )
-    log = IntentLog(db)
-    (got,) = log.pending(min_age_s=3600.0)
-    assert got.intent_id == "i00000001"
-    assert got.created_at == 0.0
-
-
 # ---------------------------------------------------------------------------
 # satellite: all-servers fan-out with aggregate errors
 # ---------------------------------------------------------------------------

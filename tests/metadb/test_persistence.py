@@ -1,10 +1,9 @@
-"""Durability tests: WAL replay, checkpoints, torn-tail recovery."""
-
-import json
+"""Durability tests: reopen, WAL checkpoints, rollback on close, and
+refusal of the retired snapshot+WAL format."""
 
 import pytest
 
-from repro.errors import TransactionError
+from repro.errors import MetaDBError
 from repro.metadb import Database
 
 
@@ -60,8 +59,8 @@ def test_checkpoint_truncates_wal_and_preserves_data(tmp_path):
     db = Database(path)
     db.execute("CREATE TABLE t (k TEXT PRIMARY KEY, v JSON)")
     db.execute("INSERT INTO t VALUES ('a', ?)", [[1, 2, 3]])
-    db.checkpoint()
-    wal = tmp_path / "meta.db.wal"
+    db.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    wal = tmp_path / "meta.db-wal"
     assert not wal.exists() or wal.stat().st_size == 0
     db.execute("INSERT INTO t VALUES ('b', ?)", [{"x": 1}])
     db.close()
@@ -72,140 +71,13 @@ def test_checkpoint_truncates_wal_and_preserves_data(tmp_path):
     db2.close()
 
 
-def test_checkpoint_inside_transaction_rejected(tmp_path):
-    db = Database(tmp_path / "meta.db")
-    db.begin()
-    with pytest.raises(TransactionError):
-        db.checkpoint()
-    db.rollback()
-    db.close()
-
-
-def test_torn_wal_tail_discarded(tmp_path):
-    path = tmp_path / "meta.db"
-    db = Database(path)
-    db.execute("CREATE TABLE t (k TEXT PRIMARY KEY)")
-    db.execute("INSERT INTO t VALUES ('committed')")
-    db.close()
-
-    wal = tmp_path / "meta.db.wal"
-    with open(wal, "a", encoding="utf-8") as fh:
-        fh.write('{"txn": 99, "ops": [["insert", "t", 7,')  # crash mid-write
-
-    db2 = reopen(path)
-    rows = db2.execute("SELECT k FROM t").rows
-    assert rows == [{"k": "committed"}]
-    db2.close()
-
-
-def test_checkpoint_race_stale_wal_not_replayed(tmp_path):
-    """Crash between the snapshot rewrite and the WAL truncation in
-    checkpoint(): recovery sees a fresh snapshot *and* the full stale
-    log.  Replaying the stale records would resurrect the table's
-    creation-time (empty) image; the snapshot's last_txn must filter
-    them out."""
-    path = tmp_path / "meta.db"
-    wal = tmp_path / "meta.db.wal"
-    db = Database(path)
-    db.execute("CREATE TABLE t (k TEXT PRIMARY KEY, v INTEGER)")
-    db.execute("INSERT INTO t VALUES ('a', 1)")
-    db.execute("UPDATE t SET v = 2 WHERE k = 'a'")
-    stale = wal.read_bytes()
-    db.checkpoint()
-    db.close()
-    wal.write_bytes(stale)  # the truncation "never happened"
-
-    db2 = reopen(path)
-    assert db2.execute("SELECT v FROM t WHERE k = 'a'").scalar() == 2
-    db2.close()
-
-
-def test_checkpoint_race_does_not_resurrect_deleted_rows(tmp_path):
-    path = tmp_path / "meta.db"
-    wal = tmp_path / "meta.db.wal"
-    db = Database(path)
-    db.execute("CREATE TABLE t (k TEXT PRIMARY KEY)")
-    db.execute("INSERT INTO t VALUES ('doomed')")
-    db.execute("DELETE FROM t WHERE k = 'doomed'")
-    stale = wal.read_bytes()
-    db.checkpoint()
-    db.close()
-    wal.write_bytes(stale)
-
-    db2 = reopen(path)
-    assert db2.execute("SELECT COUNT(*) FROM t").scalar() == 0
-    db2.close()
-
-
-def test_checkpoint_race_with_torn_tail(tmp_path):
-    """The stale log may itself end in a torn line (crash mid-append
-    racing the checkpoint); both defenses must compose."""
-    path = tmp_path / "meta.db"
-    wal = tmp_path / "meta.db.wal"
-    db = Database(path)
-    db.execute("CREATE TABLE t (k TEXT PRIMARY KEY)")
-    db.execute("INSERT INTO t VALUES ('kept')")
-    stale = wal.read_bytes()
-    db.checkpoint()
-    db.close()
-    wal.write_bytes(stale + b'{"txn": 99, "ops": [["insert", "t", 7,')
-
-    db2 = reopen(path)
-    assert db2.execute("SELECT k FROM t").rows == [{"k": "kept"}]
-    db2.close()
-
-
-def test_txn_ids_stay_monotone_after_checkpoint_crash(tmp_path):
-    """Recovery must advance the txn counter past the snapshot's
-    last_txn even when the stale log is filtered out — otherwise new
-    appends reuse covered ids and the *next* recovery drops them."""
-    path = tmp_path / "meta.db"
-    wal = tmp_path / "meta.db.wal"
-    db = Database(path)
-    db.execute("CREATE TABLE t (k TEXT PRIMARY KEY, v INTEGER)")
-    db.execute("INSERT INTO t VALUES ('a', 1)")
-    stale = wal.read_bytes()
-    db.checkpoint()
-    db.close()
-    wal.write_bytes(stale)
-
-    db2 = reopen(path)
-    db2.execute("INSERT INTO t VALUES ('b', 2)")
-    db2.close()
-
-    db3 = reopen(path)
-    rows = db3.execute("SELECT k, v FROM t ORDER BY k").rows
-    assert rows == [{"k": "a", "v": 1}, {"k": "b", "v": 2}]
-    db3.close()
-
-
-def test_snapshot_without_last_txn_still_loads(tmp_path):
-    """Snapshots written before last_txn existed default to covering
-    nothing — the whole WAL replays, matching the old behavior."""
-    path = tmp_path / "meta.db"
-    db = Database(path)
-    db.execute("CREATE TABLE t (k TEXT PRIMARY KEY)")
-    db.checkpoint()
-    db.execute("INSERT INTO t VALUES ('after')")
-    db.close()
-
-    snap = tmp_path / "meta.db.snapshot.json"
-    data = json.loads(snap.read_text())
-    del data["last_txn"]
-    snap.write_text(json.dumps(data))
-
-    db2 = reopen(path)
-    assert db2.execute("SELECT k FROM t").rows == [{"k": "after"}]
-    db2.close()
-
-
 def test_reopen_after_checkpoint_then_more_writes(tmp_path):
     path = tmp_path / "meta.db"
     db = Database(path)
     db.execute("CREATE TABLE t (n INTEGER PRIMARY KEY)")
     for i in range(5):
         db.execute("INSERT INTO t VALUES (?)", [i])
-    db.checkpoint()
+    db.execute("PRAGMA wal_checkpoint(TRUNCATE)")
     for i in range(5, 10):
         db.execute("INSERT INTO t VALUES (?)", [i])
     db.close()
@@ -228,18 +100,6 @@ def test_drop_table_survives_reopen(tmp_path):
     db2.close()
 
 
-def test_snapshot_is_valid_json(tmp_path):
-    path = tmp_path / "meta.db"
-    db = Database(path)
-    db.execute("CREATE TABLE t (k TEXT PRIMARY KEY)")
-    db.execute("INSERT INTO t VALUES ('x')")
-    db.checkpoint()
-    db.close()
-    snapshot = json.loads((tmp_path / "meta.db.snapshot.json").read_text())
-    assert snapshot["format"] == 1
-    assert snapshot["tables"][0]["name"] == "t"
-
-
 def test_open_transaction_rolled_back_on_close(tmp_path):
     path = tmp_path / "meta.db"
     db = Database(path)
@@ -259,3 +119,24 @@ def test_context_manager_closes(tmp_path):
         db.execute("CREATE TABLE t (k TEXT)")
     with Database(path) as db2:
         assert db2.table_names() == ["t"]
+
+
+@pytest.mark.parametrize("suffix", [".snapshot.json", ".wal"])
+def test_old_format_files_refused(tmp_path, suffix):
+    """The retired engine kept ``<path>.snapshot.json`` and ``<path>.wal``
+    and never wrote ``<path>``; opening such a root must fail loudly
+    instead of creating an empty database beside the old metadata."""
+    path = tmp_path / "meta.db"
+    old = tmp_path / ("meta.db" + suffix)
+    old.write_text("{}")
+    with pytest.raises(MetaDBError, match=str(old.name)):
+        Database(path)
+    assert not path.exists()
+
+
+def test_old_format_refused_by_local_mount(tmp_path):
+    from repro.core import DPFS
+
+    (tmp_path / "dpfs.meta.wal").write_text("")
+    with pytest.raises(MetaDBError, match="dpfs.meta.wal"):
+        DPFS.local(tmp_path, 2)
