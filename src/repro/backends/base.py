@@ -14,18 +14,130 @@ local      one directory per server on the local file system
 remote     real TCP connections to ``dpfs server`` processes (:mod:`repro.net`)
 simulated  discrete-event timing model (no real bytes) for the §8 evaluation
 ========== =================================================================
+
+Every backend hashes the bricks a write touches where the bytes live:
+:meth:`StorageBackend.write_extents` takes the touched bricks'
+``(local_offset, size)`` and returns one ``(crc, version)`` per brick,
+computed under the lock that serialises the server's writes (see
+:func:`hash_bricks` and :class:`VersionClock`).
 """
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
+from ..core.checksum import CRC_ALGORITHM, checksum_fn
 from ..errors import FileSystemError
 from ..util import Extent, total_extent_bytes
 
-__all__ = ["ServerInfo", "StorageBackend"]
+__all__ = [
+    "BrickCrc",
+    "ServerInfo",
+    "StorageBackend",
+    "VersionClock",
+    "hash_bricks",
+]
+
+#: what a write returns per touched brick: the brick's checksum after
+#: the write (None when the algorithm is unknown here) and the version
+#: that orders it against other writes' checksums of the same brick
+BrickCrc = tuple[int | None, int]
+
+
+class VersionClock:
+    """Per-server version stamps for brick checksums.
+
+    :meth:`next` returns ``max(last + 1, time.time_ns())``: strictly
+    increasing on one server, and ordered across servers and restarts by
+    the wall clock.  The caller holds the lock that serialises the
+    server's writes, so version order is the order in which the bricks
+    were hashed.
+    """
+
+    def __init__(self) -> None:
+        self._last = 0
+
+    def next(self) -> int:
+        self._last = max(self._last + 1, time.time_ns())
+        return self._last
+
+
+def _whole_in_payload(
+    extents: Sequence[Extent],
+    data: bytes | bytearray | memoryview,
+    bricks: Sequence[Extent],
+) -> list[memoryview | None]:
+    """Per brick, the payload slice holding it, when exactly one extent
+    touches the brick and covers it whole; None otherwise."""
+    order = sorted(range(len(bricks)), key=lambda i: bricks[i][0])
+    starts = [bricks[i][0] for i in order]
+    prev_end = 0
+    for i in order:
+        off, size = bricks[i]
+        if off < prev_end or size <= 0:
+            raise FileSystemError(f"invalid or overlapping brick ({off}, {size})")
+        prev_end = off + size
+    touches = [0] * len(bricks)
+    found: list[memoryview | None] = [None] * len(bricks)
+    view = memoryview(data)
+    pos = 0
+    for off, ln in extents:
+        end = off + ln
+        k = max(bisect_right(starts, off) - 1, 0)
+        while ln and k < len(order) and starts[k] < end:
+            i = order[k]
+            b_off, b_size = bricks[i]
+            if b_off + b_size > off:
+                touches[i] += 1
+                if off <= b_off and b_off + b_size <= end:
+                    at = pos + b_off - off
+                    found[i] = view[at : at + b_size]
+            k += 1
+        pos += ln
+    return [v if n == 1 else None for v, n in zip(found, touches)]
+
+
+def hash_bricks(
+    extents: Sequence[Extent],
+    data: bytes | bytearray | memoryview,
+    bricks: Sequence[Extent],
+    crc_algo: str,
+    read_brick: Callable[[int, int], bytes | memoryview],
+    clock: VersionClock,
+) -> list[BrickCrc]:
+    """Checksums of the bricks a just-applied write touched.
+
+    A brick covered whole by the one extent that touches it is hashed
+    straight from the payload; any other brick is re-read with
+    ``read_brick(offset, size)``, which may return fewer than ``size``
+    bytes (the sparse tail reads as zeros).  The caller holds the lock
+    that serialised the write, so the hash sees no other writer's
+    half-applied bytes.  One version from ``clock`` stamps every brick.
+    """
+    if not bricks:
+        return []
+    version = clock.next()
+    try:
+        crc = checksum_fn(crc_algo)
+    except KeyError:
+        return [(None, version)] * len(bricks)
+    out: list[BrickCrc] = []
+    for (off, size), whole in zip(bricks, _whole_in_payload(extents, data, bricks)):
+        chunk = whole if whole is not None else read_brick(off, size)
+        try:
+            value = crc(chunk, 0)
+            missing = size - len(chunk)
+        finally:
+            if isinstance(chunk, memoryview):
+                chunk.release()
+        if missing > 0:
+            value = crc(bytes(missing), value)
+        out.append((value, version))
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,10 +211,23 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def write_extents(
-        self, server: int, name: str, extents: Sequence[Extent], data: bytes
-    ) -> None:
+        self,
+        server: int,
+        name: str,
+        extents: Sequence[Extent],
+        data: bytes | bytearray | memoryview,
+        bricks: Sequence[Extent] = (),
+        crc_algo: str = CRC_ALGORITHM,
+    ) -> list[BrickCrc]:
         """Write ``data`` across the given extents in list order,
-        extending the subfile as needed."""
+        extending the subfile as needed.
+
+        ``bricks`` lists the ``(local_offset, size)`` of each brick the
+        write touches; the return value holds one ``(crc, version)``
+        per brick, in that order, hashed under ``crc_algo`` after the
+        write applied and under the same lock.  ``data`` is copied,
+        never kept.
+        """
 
     # -- shared validation --------------------------------------------------
     def _check_server(self, server: int) -> None:

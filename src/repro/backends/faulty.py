@@ -22,9 +22,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from ..core.checksum import CRC_ALGORITHM
 from ..errors import FileSystemError
 from ..util import Extent
-from .base import ServerInfo, StorageBackend
+from .base import BrickCrc, ServerInfo, StorageBackend
 
 __all__ = ["InjectedFault", "TransientFault", "FaultyBackend"]
 
@@ -140,10 +141,18 @@ class FaultyBackend(StorageBackend):
         return self.inner.read_extents(server, name, extents)
 
     def write_extents(
-        self, server: int, name: str, extents: Sequence[Extent], data: bytes
-    ) -> None:
+        self,
+        server: int,
+        name: str,
+        extents: Sequence[Extent],
+        data: bytes | bytearray | memoryview,
+        bricks: Sequence[Extent] = (),
+        crc_algo: str = CRC_ALGORITHM,
+    ) -> list[BrickCrc]:
         self._maybe_fail("write", server)
-        self.inner.write_extents(server, name, extents, data)
+        return self.inner.write_extents(
+            server, name, extents, data, bricks, crc_algo
+        )
 
     def close(self) -> None:
         self.inner.close()

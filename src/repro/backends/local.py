@@ -15,14 +15,21 @@ from __future__ import annotations
 
 import os
 import shutil
+import threading
 from pathlib import Path
 from collections.abc import Sequence
 
+from ..core.checksum import CRC_ALGORITHM
 from ..errors import FileSystemError
 from ..util import Extent
-from .base import ServerInfo, StorageBackend
+from .base import BrickCrc, ServerInfo, StorageBackend, VersionClock, hash_bricks
 
-__all__ = ["LocalBackend", "escape_subfile_name", "unescape_subfile_name"]
+__all__ = [
+    "LocalBackend",
+    "escape_subfile_name",
+    "unescape_subfile_name",
+    "write_subfile",
+]
 
 
 def escape_subfile_name(name: str) -> str:
@@ -64,6 +71,38 @@ def unescape_subfile_name(name: str) -> str:
     return "".join(out)
 
 
+def write_subfile(
+    path: Path,
+    extents: Sequence[Extent],
+    data: bytes | bytearray | memoryview,
+    bricks: Sequence[Extent],
+    crc_algo: str,
+    clock: VersionClock,
+) -> list[BrickCrc]:
+    """Apply a write to one subfile, then hash the bricks it touched.
+
+    The caller holds the lock that serialises the server's writes, so
+    each ``(crc, version)`` describes a state no other write was half
+    way through.
+    """
+    view = memoryview(data)
+    pos = 0
+    with open(path, "r+b") as fh:
+        for off, ln in extents:
+            fh.seek(off)
+            fh.write(view[pos : pos + ln])
+            pos += ln
+        fh.flush()
+        return hash_bricks(
+            extents,
+            data,
+            bricks,
+            crc_algo,
+            lambda off, size: os.pread(fh.fileno(), size, off),
+            clock,
+        )
+
+
 class LocalBackend(StorageBackend):
     """Servers are subdirectories ``server_0 .. server_{n-1}`` of a root."""
 
@@ -92,6 +131,10 @@ class LocalBackend(StorageBackend):
             )
             for i in range(n_servers)
         ]
+        # writes to one server are serialised so each write's brick
+        # checksums are hashed and versioned before the next write lands
+        self._io_locks = [threading.Lock() for _ in range(n_servers)]
+        self._clocks = [VersionClock() for _ in range(n_servers)]
 
     @property
     def servers(self) -> list[ServerInfo]:
@@ -156,20 +199,25 @@ class LocalBackend(StorageBackend):
         return bytes(out)
 
     def write_extents(
-        self, server: int, name: str, extents: Sequence[Extent], data: bytes
-    ) -> None:
+        self,
+        server: int,
+        name: str,
+        extents: Sequence[Extent],
+        data: bytes | bytearray | memoryview,
+        bricks: Sequence[Extent] = (),
+        crc_algo: str = CRC_ALGORITHM,
+    ) -> list[BrickCrc]:
         path = self._path(server, name)
         if not path.exists():
             raise FileSystemError(f"no subfile {name!r} on server {server}")
         self._check_payload(extents, data)
-        pos = 0
-        with open(path, "r+b") as fh:
-            for off, ln in extents:
-                if off < 0 or ln < 0:
-                    raise FileSystemError(f"invalid extent ({off}, {ln})")
-                fh.seek(off)
-                fh.write(data[pos : pos + ln])
-                pos += ln
+        for off, ln in extents:
+            if off < 0 or ln < 0:
+                raise FileSystemError(f"invalid extent ({off}, {ln})")
+        with self._io_locks[server]:
+            return write_subfile(
+                path, extents, data, bricks, crc_algo, self._clocks[server]
+            )
 
     # -- extras ----------------------------------------------------------------
     def wipe(self) -> None:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import threading
 from collections.abc import Sequence
 
+from ..core.checksum import CRC_ALGORITHM
 from ..errors import FileSystemError
 from ..util import Extent
-from .base import ServerInfo, StorageBackend
+from .base import BrickCrc, ServerInfo, StorageBackend, VersionClock, hash_bricks
 
 __all__ = ["MemoryBackend"]
 
@@ -40,8 +41,10 @@ class MemoryBackend(StorageBackend):
         # one lock per server: extents from concurrent dispatch workers
         # may interleave on the same subfile (the grow-then-assign in
         # write_extents is not atomic), mirroring the real server's
-        # per-device I/O serialization
+        # per-device I/O serialization; brick checksums are hashed and
+        # versioned under it too
         self._io_locks = [threading.Lock() for _ in range(n_servers)]
+        self._clocks = [VersionClock() for _ in range(n_servers)]
 
     @property
     def servers(self) -> list[ServerInfo]:
@@ -100,10 +103,17 @@ class MemoryBackend(StorageBackend):
             return bytes(out)
 
     def write_extents(
-        self, server: int, name: str, extents: Sequence[Extent], data: bytes
-    ) -> None:
+        self,
+        server: int,
+        name: str,
+        extents: Sequence[Extent],
+        data: bytes | bytearray | memoryview,
+        bricks: Sequence[Extent] = (),
+        crc_algo: str = CRC_ALGORITHM,
+    ) -> list[BrickCrc]:
         self._check_server(server)
         self._check_payload(extents, data)
+        view = memoryview(data)
         with self._io_locks[server]:
             blob = self._store[server].get(name)
             if blob is None:
@@ -115,5 +125,13 @@ class MemoryBackend(StorageBackend):
                 end = off + ln
                 if end > len(blob):
                     blob.extend(b"\x00" * (end - len(blob)))
-                blob[off:end] = data[pos : pos + ln]
+                blob[off:end] = view[pos : pos + ln]
                 pos += ln
+            return hash_bricks(
+                extents,
+                data,
+                bricks,
+                crc_algo,
+                lambda off, size: memoryview(blob)[off : off + size],
+                self._clocks[server],
+            )

@@ -25,12 +25,13 @@ import threading
 import time
 from collections.abc import Sequence
 
+from ..core.checksum import CRC_ALGORITHM
 from ..errors import FileSystemError
 from ..netsim.classes import StorageClassParams, build_topology
 from ..netsim.node import CostParams, WireRequest, serve_request
 from ..sim import Environment
 from ..util import Extent, coalesce_extents
-from .base import ServerInfo, StorageBackend
+from .base import BrickCrc, ServerInfo, StorageBackend
 from .memory import MemoryBackend
 
 __all__ = ["SimulatedBackend"]
@@ -118,7 +119,16 @@ class SimulatedBackend(StorageBackend):
         return data
 
     def write_extents(
-        self, server: int, name: str, extents: Sequence[Extent], data: bytes
-    ) -> None:
-        self._store.write_extents(server, name, extents, data)
+        self,
+        server: int,
+        name: str,
+        extents: Sequence[Extent],
+        data: bytes | bytearray | memoryview,
+        bricks: Sequence[Extent] = (),
+        crc_algo: str = CRC_ALGORITHM,
+    ) -> list[BrickCrc]:
+        crcs = self._store.write_extents(
+            server, name, extents, data, bricks, crc_algo
+        )
         self._price(server, extents, is_read=False)
+        return crcs

@@ -1,8 +1,10 @@
 """End-to-end brick checksums.
 
-Every brick payload is protected by a 32-bit CRC that is computed on
-the client, stored in file metadata, verified on full-brick reads, and
-re-verified at rest by the scrubber (:mod:`repro.core.scrub`).  The
+Every brick payload is protected by a 32-bit CRC that is computed by
+the server storing the brick as it applies a write
+(:func:`repro.backends.base.hash_bricks`), stored in file metadata,
+verified on full-brick reads, and re-verified at rest by the scrubber
+(:mod:`repro.core.scrub`).  The
 same routine protects wire frames (:mod:`repro.net.protocol`).
 
 Algorithm selection: CRC32C (Castagnoli) is the checksum of choice for

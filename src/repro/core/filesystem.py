@@ -14,10 +14,7 @@ algorithms (§4.1) and the request planner (§4.2).
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from ..backends.base import StorageBackend
 from ..backends.local import LocalBackend
@@ -82,16 +79,6 @@ CP_GROW_AFTER_METADATA = register("filesystem.grow.after_metadata")
 CP_REFILL_AFTER_INTENT = register("filesystem.refill.after_intent")
 CP_REFILL_MID_COPY = register("filesystem.refill.mid_copy")
 CP_REFILL_AFTER_COPY = register("filesystem.refill.after_copy")
-
-
-class _CrcLockEntry:
-    """One per-path CRC lock plus the count of threads holding/awaiting it."""
-
-    __slots__ = ("lock", "refs")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.refs = 0
 
 
 class _SubsetPolicy(PlacementPolicy):
@@ -192,19 +179,6 @@ class DPFS:
         #: repaired yet: (path, brick_id, server).  Copy selection skips
         #: these; read-repair and the scrubber clear them.
         self.quarantine: set[tuple[str, int, int]] = set()
-        #: per-path locks serializing read-back + checksum update after a
-        #: write: the last updater of a brick shared by concurrent
-        #: disjoint-extent writers must hash a snapshot that already holds
-        #: every earlier updater's bytes, or it persists a stale CRC.
-        #: The map is bounded two ways: remove()/rename() evict a dead
-        #: path's entry immediately, and the LRU cap below evicts idle
-        #: entries of *live* paths, so a long-lived mount touching many
-        #: files does not grow memory without bound.  Entries are
-        #: refcounted; only an entry no thread holds (or is about to
-        #: hold) is evictable, which keeps the lock-per-path guarantee.
-        self._crc_locks: OrderedDict[str, _CrcLockEntry] = OrderedDict()
-        self._crc_locks_guard = threading.Lock()
-        self._crc_lock_cap = 1024
         self._c_failover = self.metrics.counter(
             "dpfs_read_failovers_total",
             "reads served from a non-preferred brick copy, by reason",
@@ -325,50 +299,11 @@ class DPFS:
     def _note_degraded_write(self) -> None:
         self._c_degraded.inc()
 
-    @contextmanager
-    def _crc_lock(self, path: str) -> Iterator[None]:
-        """Hold the per-path CRC update lock (``with fs._crc_lock(p):``).
-
-        Entries are refcounted so the LRU eviction below can never hand
-        two concurrent holders of the same live path different lock
-        objects: an entry is only evictable while its refcount is zero,
-        and the refcount is taken under the guard before the lock is
-        ever acquired.
-        """
-        with self._crc_locks_guard:
-            entry = self._crc_locks.get(path)
-            if entry is None:
-                entry = _CrcLockEntry()
-                self._crc_locks[path] = entry
-            entry.refs += 1
-            self._crc_locks.move_to_end(path)
-            if len(self._crc_locks) > self._crc_lock_cap:
-                for stale in list(self._crc_locks):
-                    if len(self._crc_locks) <= self._crc_lock_cap:
-                        break
-                    if self._crc_locks[stale].refs == 0:
-                        del self._crc_locks[stale]
-        entry.lock.acquire()
-        try:
-            yield
-        finally:
-            entry.lock.release()
-            with self._crc_locks_guard:
-                entry.refs -= 1
-
-    def _evict_crc_lock(self, path: str) -> None:
-        # the path is dead (removed/renamed): drop its entry regardless
-        # of refcount — in-flight holders keep their entry object alive
-        # and finish against subfiles that are going away anyway
-        with self._crc_locks_guard:
-            self._crc_locks.pop(path, None)
-
     def _forget_path(self, path: str) -> None:
         """Drop every in-memory trace of a removed/renamed path."""
         if self.cache is not None:
             self.cache.invalidate_file(path)
         self.quarantine = {q for q in self.quarantine if q[0] != path}
-        self._evict_crc_lock(path)
 
     # -- recovery --------------------------------------------------------------
     def recover(self, min_age_s: float = 0.0) -> RecoveryReport:
@@ -886,9 +821,7 @@ class DPFS:
                         policy.assign_next(), striping.brick_size
                     )
             record.brick_sizes = [striping.brick_size] * len(handle.brick_map)
-            record.brick_crcs = record.brick_crcs + [None] * (
-                len(handle.brick_map) - len(record.brick_crcs)
-            )
+            record.pad_crcs()
             # journalled grow: every metadata effect (geometry,
             # distribution, replica map, size) is ONE transaction — the
             # commit point.  No storage-side step exists: new bricks

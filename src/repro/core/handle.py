@@ -45,6 +45,7 @@ from ..util import Extent
 from .brick import BrickLocation, BrickMap, BrickSlice, ReplicaMap, replica_subfile
 from .checksum import checksum_fn
 from .combine import ServerRequest, SlicePlacement, plan_requests
+from .crashpoints import crashpoint, register
 from .metadata import FileRecord
 from .striping import FileLevel, LinearStriping, StripingMethod
 
@@ -52,6 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .filesystem import DPFS
 
 __all__ = ["FileHandle", "IOStats"]
+
+#: after a write's data landed on the servers, before the brick
+#: checksums it returned are committed to metadata: a crash here leaves
+#: checksums that scrub reports as ``stale-checksum``
+CP_WRITE_BEFORE_CRC_COMMIT = register("handle.write.before_crc_commit")
 
 
 @dataclass
@@ -466,6 +472,25 @@ class FileHandle:
         crcs = self.record.brick_crcs
         return crcs[brick_id] if brick_id < len(crcs) else None
 
+    def _crc_matches(self, brick_id: int, blob) -> bool:
+        """Does a full brick's payload match its stored checksum?
+
+        A mismatch against the checksums this handle loaded re-reads the
+        stored ones once before it counts: another handle may have
+        rewritten the brick since this one opened.
+        """
+        want = self._stored_crc(brick_id)
+        if want is None:
+            return True
+        got = self._crc(blob, 0)
+        if got == want:
+            return True
+        stored, _ = self.fs.meta.load_file(self.record.path)
+        self.record.brick_crcs = stored.brick_crcs
+        self.record.brick_crc_versions = stored.brick_crc_versions
+        crc = self._stored_crc(brick_id)
+        return crc is None or got == crc
+
     def _plan_read(self, slices: list[BrickSlice]) -> list[ServerRequest]:
         """Wire plan with a health/quarantine-aware copy choice per brick."""
         if not self._has_replicas():
@@ -638,10 +663,11 @@ class FileHandle:
                     payload[bo : bo + p.slice.length] = blob
                     total += p.slice.length
                 return total
+            view = memoryview(data)
             pos = 0
             for p in req.placements:
                 ln = p.slice.length
-                blob = data[pos : pos + ln]
+                blob = view[pos : pos + ln]
                 pos += ln
                 blob = self._verified(p, blob, name)
                 payload[p.slice.buffer_offset : p.slice.buffer_offset + ln] = blob
@@ -677,8 +703,7 @@ class FileHandle:
             return blob
         if s.offset != 0 or s.length != self.brick_map.location(s.brick_id).size:
             return blob
-        want = self._stored_crc(s.brick_id)
-        if want is None or self._crc(bytes(blob), 0) == want:
+        if self._crc_matches(s.brick_id, blob):
             return blob
         self.fs._note_checksum_error()
         self.fs.quarantine.add((self.record.path, s.brick_id, p.server))
@@ -702,11 +727,10 @@ class FileHandle:
         fails verification.
         """
         backend = self.fs.backend
-        full = (
+        verify = self._crc is not None and (
             s.offset == 0
             and s.length == self.brick_map.location(s.brick_id).size
         )
-        want = self._stored_crc(s.brick_id) if full and self._crc else None
         last_exc: Exception | None = None
         for _idx, loc, name in self._copy_locations(s.brick_id):
             if loc.server == exclude_server:
@@ -721,7 +745,7 @@ class FileHandle:
             except (DPFSError, OSError) as exc:
                 last_exc = exc
                 continue
-            if want is not None and self._crc(bytes(blob), 0) != want:
+            if verify and not self._crc_matches(s.brick_id, blob):
                 self.fs._note_checksum_error()
                 self.fs.quarantine.add(
                     (self.record.path, s.brick_id, loc.server)
@@ -768,20 +792,43 @@ class FileHandle:
             plan = self._plan_write(slices)
             plan_span.tag(requests=len(plan), combine=self.combine)
 
+        view = memoryview(data)
         succeeded: list[ServerRequest] = []
-        success_lock = threading.Lock()
+        #: (brick, copy) -> the (crc, version) that copy's server returned
+        crcs: dict[tuple[int, int], tuple[int | None, int]] = {}
+        results_lock = threading.Lock()
 
         def put(req) -> int:
-            blob = b"".join(
-                data[p.slice.buffer_offset : p.slice.buffer_offset + p.slice.length]
-                for p in req.placements
-            )
+            placements = req.placements
+            if len(placements) == 1:
+                s = placements[0].slice
+                blob = view[s.buffer_offset : s.buffer_offset + s.length]
+            else:
+                blob = b"".join(
+                    view[p.slice.buffer_offset : p.slice.buffer_offset + p.slice.length]
+                    for p in placements
+                )
             name = req.name if req.name is not None else self.record.path
-            backend.write_extents(req.server, name, req.extents, blob)
+            bricks = self._request_bricks(req)
+            returned = backend.write_extents(
+                req.server,
+                name,
+                req.extents,
+                blob,
+                list(bricks.values()),
+                self.record.crc_algo,
+            )
+            with results_lock:
+                for brick_id, (crc, version) in zip(bricks, returned):
+                    key = (brick_id, req.copy)
+                    # two requests to one copy (uncombined slices of one
+                    # brick): the later hash saw both writes
+                    if key not in crcs or version > crcs[key][1]:
+                        crcs[key] = (crc, version)
             return len(blob)
 
         def done(req, result) -> None:
-            with success_lock:
+            with results_lock:
                 succeeded.append(req)
             self.stats.record(
                 req.server,
@@ -809,7 +856,8 @@ class FileHandle:
             if not {s.brick_id for s in slices} <= written:
                 raise
             self.fs._note_degraded_write()
-        self._update_crcs(slices, data, succeeded)
+        crashpoint(CP_WRITE_BEFORE_CRC_COMMIT)
+        self._commit_crcs(crcs)
         cache = self.fs.cache
         if cache is not None:
             # write-through coherence: patch any cached image in place
@@ -822,75 +870,37 @@ class FileHandle:
                         data[s.buffer_offset : s.buffer_offset + s.length],
                     )
 
-    def _update_crcs(
-        self,
-        slices: list[BrickSlice],
-        data: bytes,
-        succeeded: list[ServerRequest],
-    ) -> None:
-        """Recompute and persist the checksums of every written brick.
+    def _request_bricks(self, req: ServerRequest) -> dict[int, tuple[int, int]]:
+        """The ``(local_offset, size)`` on the request's subfile of every
+        brick the request touches, keyed by brick id."""
+        bricks: dict[int, tuple[int, int]] = {}
+        for p in req.placements:
+            brick_id = p.slice.brick_id
+            if brick_id not in bricks:
+                bricks[brick_id] = (
+                    p.subfile_offset - p.slice.offset,
+                    self.brick_map.location(brick_id).size,
+                )
+        return bricks
 
-        A brick fully covered by one slice hashes the payload directly;
-        a partially written brick is read back in full from a copy that
-        took this write.  All touched bricks land in one metadata
-        transaction.
+    def _commit_crcs(self, crcs: dict[tuple[int, int], tuple[int | None, int]]) -> None:
+        """Store the checksums the servers returned, one transaction.
 
-        Read-back and update run under a per-path lock: concurrent
-        disjoint-extent writers share boundary bricks, and the last
-        updater must hash a snapshot that already holds every earlier
-        updater's bytes — an unlocked read-back can persist a CRC that
-        misses a peer's landed data.  (Full-brick slices need no lock:
-        disjoint writers by definition never share a fully-covered
-        brick, and overlapping writers are a data race regardless.)
+        Each brick's ``(crc, version)`` comes from the lowest-index copy
+        that took the write; metadata keeps it only if its version is
+        newer than the stored one, so concurrent writers of one brick
+        need no client-side lock.
         """
-        if self._crc is None:
-            return
-        by_brick: dict[int, list[BrickSlice]] = {}
-        for s in slices:
-            by_brick.setdefault(s.brick_id, []).append(s)
-        written_copies: set[tuple[int, int]] = set()  # (brick, copy)
-        for req in succeeded:
-            for b in req.brick_ids:
-                written_copies.add((b, req.copy))
-        with self.fs._crc_lock(self.record.path):
-            new_crcs: dict[int, int | None] = {}
-            for brick_id, ss in by_brick.items():
-                size = self.brick_map.location(brick_id).size
-                full = next(
-                    (s for s in ss if s.offset == 0 and s.length == size), None
-                )
-                if full is not None:
-                    blob = data[full.buffer_offset : full.buffer_offset + size]
-                    new_crcs[brick_id] = self._crc(bytes(blob), 0)
-                else:
-                    back = self._read_back(brick_id, size, written_copies)
-                    new_crcs[brick_id] = (
-                        self._crc(back, 0) if back is not None else None
-                    )
-            self.fs.meta.update_brick_crcs(self.record.path, new_crcs)
-            crcs = self.record.brick_crcs
-            if len(crcs) < len(self.brick_map):
-                crcs += [None] * (len(self.brick_map) - len(crcs))
-            for brick_id, crc in new_crcs.items():
-                crcs[brick_id] = crc
-
-    def _read_back(
-        self, brick_id: int, size: int, written_copies: set[tuple[int, int]]
-    ) -> bytes | None:
-        """Full brick contents from a copy this write reached, else None."""
-        backend = self.fs.backend
-        for idx, loc, name in self._copy_locations(brick_id):
-            if written_copies and (brick_id, idx) not in written_copies:
-                continue
-            try:
-                return bytes(
-                    backend.read_extents(
-                        loc.server, name, [(loc.local_offset, size)]
-                    )
-                )
-            except (DPFSError, OSError):
-                continue
-        return None
+        chosen: dict[int, tuple[int | None, int]] = {}
+        for (brick_id, _copy), result in sorted(crcs.items(), reverse=True):
+            chosen[brick_id] = result  # a brick's lowest copy comes last
+        versions = {b: version for b, (_crc, version) in chosen.items()}
+        applied = self.fs.meta.update_brick_crcs(
+            self.record.path, {b: crc for b, (crc, _v) in chosen.items()}, versions
+        )
+        for brick_id, crc in applied.items():
+            self.record.brick_crcs[brick_id] = crc
+            self.record.brick_crc_versions[brick_id] = versions[brick_id]
 
     # ------------------------------------------------------------------
     # growth (linear level)

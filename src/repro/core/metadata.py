@@ -20,8 +20,9 @@ paper's names become underscores — SQL identifiers):
 A fifth table, ``dpfs_file_replica``, extends the paper's schema with
 per-server *replica* bricklists (same shape as the distribution table)
 for files created with ``replicas > 1``; the geometry JSON additionally
-carries ``replicas``, the per-brick ``brick_crcs`` checksum list, and
-the ``crc_algo`` those checksums were computed under.
+carries ``replicas``, the per-brick ``brick_crcs`` checksum list, the
+``brick_crc_versions`` that order those checksums, and the ``crc_algo``
+they were computed under.
 
 :class:`MetadataManager` is the only component that speaks SQL; the
 file system above it works with :class:`FileRecord` objects.
@@ -95,10 +96,18 @@ class FileRecord:
     brick_crcs: list[int | None] = field(default_factory=list)
     #: algorithm the stored checksums were computed under
     crc_algo: str = CRC_ALGORITHM
+    #: per-brick version of each stored checksum, as stamped by the
+    #: server that hashed it; ``None`` = not set by a server write
+    brick_crc_versions: list[int | None] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.brick_crcs:
-            self.brick_crcs = [None] * len(self.brick_sizes)
+        self.pad_crcs()
+
+    def pad_crcs(self) -> None:
+        """Extend the checksum and version lists to one entry per brick."""
+        n = len(self.brick_sizes)
+        for crcs in (self.brick_crcs, self.brick_crc_versions):
+            crcs += [None] * (n - len(crcs))
 
 
 # One brick-size row per (server, brick) of every distribution and
@@ -334,6 +343,7 @@ class MetadataManager:
                 "brick_sizes": record.brick_sizes,
                 "replicas": record.replicas,
                 "brick_crcs": record.brick_crcs,
+                "brick_crc_versions": record.brick_crc_versions,
                 "crc_algo": record.crc_algo,
             }
             self.db.execute(
@@ -398,11 +408,9 @@ class MetadataManager:
             placement=attr["placement"],
             brick_sizes=list(geometry["brick_sizes"]),
             replicas=geometry.get("replicas", 1),
-            brick_crcs=list(
-                geometry.get("brick_crcs")
-                or [None] * len(geometry["brick_sizes"])
-            ),
+            brick_crcs=list(geometry.get("brick_crcs") or []),
             crc_algo=geometry.get("crc_algo", CRC_ALGORITHM),
+            brick_crc_versions=list(geometry.get("brick_crc_versions") or []),
         )
         dist = self.db.execute(
             "SELECT server_name, bricklist FROM dpfs_file_distribution "
@@ -474,15 +482,24 @@ class MetadataManager:
                 )
 
     def update_brick_crcs(
-        self, path: str, crcs: dict[int, int | None]
-    ) -> None:
-        """Merge freshly computed per-brick checksums into the geometry.
+        self,
+        path: str,
+        crcs: dict[int, int | None],
+        versions: dict[int, int] | None = None,
+    ) -> dict[int, int | None]:
+        """Merge per-brick checksums into the geometry; returns the ones
+        stored.
 
         One transaction per *write call*, not per brick — the handle
         batches every brick a write touched into a single ``crcs`` dict.
+        With ``versions`` (a server write's stamps), a brick's checksum
+        is stored only if its version is newer than the stored one, so
+        a slow writer's commit cannot replace a newer writer's checksum.
+        Without (scrub, fsck), checksums are stored and the stored
+        versions kept.
         """
         if not crcs:
-            return
+            return {}
         norm = normalize_path(path)
         with self.db.transaction():
             rows = self.db.execute(
@@ -492,24 +509,34 @@ class MetadataManager:
             if not rows:
                 raise FileNotFound(norm)
             geometry = dict(rows[0]["geometry"])
-            stored = list(
-                geometry.get("brick_crcs")
-                or [None] * len(geometry["brick_sizes"])
-            )
-            if len(stored) < len(geometry["brick_sizes"]):
-                stored += [None] * (len(geometry["brick_sizes"]) - len(stored))
+            n = len(geometry["brick_sizes"])
+            stored = list(geometry.get("brick_crcs") or [])
+            stored += [None] * (n - len(stored))
+            stamps = list(geometry.get("brick_crc_versions") or [])
+            stamps += [None] * (n - len(stamps))
+            applied: dict[int, int | None] = {}
             for brick_id, crc in crcs.items():
-                if not 0 <= brick_id < len(stored):
+                if not 0 <= brick_id < n:
                     raise MetaDBError(
-                        f"brick {brick_id} outside crc table of {len(stored)}"
+                        f"brick {brick_id} outside crc table of {n}"
                     )
+                if versions is not None:
+                    version = versions[brick_id]
+                    if stamps[brick_id] is not None and version <= stamps[brick_id]:
+                        continue
+                    stamps[brick_id] = version
                 stored[brick_id] = crc
+                applied[brick_id] = crc
+            if not applied:
+                return applied
             geometry["brick_crcs"] = stored
+            geometry["brick_crc_versions"] = stamps
             geometry.setdefault("crc_algo", CRC_ALGORITHM)
             self.db.execute(
                 "UPDATE dpfs_file_attr SET geometry = ? WHERE filename = ?",
                 [geometry, norm],
             )
+        return applied
 
     def update_file_size(self, path: str, size: int) -> None:
         self.db.execute(
@@ -537,12 +564,11 @@ class MetadataManager:
             raise FileNotFound(norm)
         geometry = dict(rows[0]["geometry"])
         geometry["brick_sizes"] = list(brick_sizes)
-        crcs = list(
-            geometry.get("brick_crcs") or []
-        )
-        if len(crcs) < len(brick_sizes):  # new bricks: crc unknown
-            crcs += [None] * (len(brick_sizes) - len(crcs))
-        geometry["brick_crcs"] = crcs[: len(brick_sizes)]
+        n = len(brick_sizes)
+        for key in ("brick_crcs", "brick_crc_versions"):
+            values = list(geometry.get(key) or [])
+            values += [None] * (n - len(values))  # new bricks: crc unknown
+            geometry[key] = values[:n]
         self.db.execute(
             "UPDATE dpfs_file_attr SET geometry = ? WHERE filename = ?",
             [geometry, norm],

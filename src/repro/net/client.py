@@ -37,7 +37,8 @@ import threading
 import time
 from typing import Any, Sequence
 
-from ..backends.base import ServerInfo, StorageBackend
+from ..backends.base import BrickCrc, ServerInfo, StorageBackend
+from ..core.checksum import CRC_ALGORITHM
 from ..errors import (
     ConnectionLost,
     FileSystemError,
@@ -461,11 +462,28 @@ class ServerConnection:
             )
         return data
 
-    def write(self, name: str, extents: Sequence[Extent], data: bytes) -> None:
-        self._call(
-            {"op": "write", "name": name, "extents": [list(e) for e in extents]},
-            data,
-        )
+    def write(
+        self,
+        name: str,
+        extents: Sequence[Extent],
+        data: bytes | bytearray | memoryview,
+        bricks: Sequence[Extent] = (),
+        crc_algo: str = CRC_ALGORITHM,
+    ) -> list[BrickCrc]:
+        header: dict[str, Any] = {
+            "op": "write", "name": name, "extents": [list(e) for e in extents]
+        }
+        if bricks:
+            header["bricks"] = [list(b) for b in bricks]
+            header["brick_algo"] = crc_algo
+        reply, _ = self._call(header, data)
+        crcs = [(crc, int(version)) for crc, version in reply.get("crcs", [])]
+        if len(crcs) != len(bricks):
+            raise ProtocolError(
+                f"server returned {len(crcs)} brick checksums for "
+                f"{len(bricks)} bricks"
+            )
+        return crcs
 
     def stats(self) -> dict[str, Any]:
         """Server-side observability: Prometheus text + recent span log."""
@@ -632,11 +650,19 @@ class RemoteBackend(StorageBackend):
         return self.connections[server].read(name, extents)
 
     def write_extents(
-        self, server: int, name: str, extents: Sequence[Extent], data: bytes
-    ) -> None:
+        self,
+        server: int,
+        name: str,
+        extents: Sequence[Extent],
+        data: bytes | bytearray | memoryview,
+        bricks: Sequence[Extent] = (),
+        crc_algo: str = CRC_ALGORITHM,
+    ) -> list[BrickCrc]:
         self._check_server(server)
         self._check_payload(extents, data)
-        self.connections[server].write(name, extents, data)
+        return self.connections[server].write(
+            name, extents, data, bricks, crc_algo
+        )
 
     def server_health(self, server: int) -> int:
         """Pool health (2=UP, 1=DEGRADED, 0=DOWN) — replicated reads use

@@ -17,7 +17,10 @@ Operations::
     exists          does a subfile exist
     size            physical subfile size
     read            extent-list read  → payload
-    write           extent-list write (payload attached)
+    write           extent-list write (payload attached); ``bricks``
+                    (``[[local_offset, size], ...]``) and ``brick_algo``
+                    ask the server to hash those bricks after applying
+                    it → ``crcs`` (``[[crc, version], ...]``)
     rename          rename a subfile (``new_name`` field)
     list            names of every subfile on the server
     stats           server observability: Prometheus text + span log
@@ -73,8 +76,17 @@ OPS = frozenset(
 )
 
 
-def send_message(sock: socket.socket, header: dict[str, Any], payload: bytes = b"") -> None:
-    """Send one framed message (payloads are checksummed end-to-end)."""
+def send_message(
+    sock: socket.socket,
+    header: dict[str, Any],
+    payload: bytes | bytearray | memoryview = b"",
+) -> None:
+    """Send one framed message (payloads are checksummed end-to-end).
+
+    The payload is never copied into the frame: the prefix and header
+    go out as one buffer and the payload as a second, gathered by
+    ``sendmsg``.
+    """
     if len(payload) > MAX_PAYLOAD:
         raise ProtocolError(
             f"payload too large: {len(payload)} bytes exceeds the "
@@ -85,7 +97,21 @@ def send_message(sock: socket.socket, header: dict[str, Any], payload: bytes = b
     raw_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
     if len(raw_header) > MAX_HEADER:
         raise ProtocolError(f"header too large: {len(raw_header)} bytes")
-    sock.sendall(_PREFIX.pack(len(raw_header), len(payload)) + raw_header + payload)
+    _send_all(sock, [_PREFIX.pack(len(raw_header), len(payload)) + raw_header, payload])
+
+
+def _send_all(sock: socket.socket, buffers: list) -> None:
+    """``sendmsg`` the buffers in order, resuming after partial sends."""
+    views = [memoryview(b).cast("B") for b in buffers if len(b)]
+    while views:
+        sent = sock.sendmsg(views)
+        while sent:
+            head = views[0]
+            if sent < len(head):
+                views[0] = head[sent:]
+                break
+            sent -= len(head)
+            views.pop(0)
 
 
 def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:

@@ -4,8 +4,10 @@ One server process sits on one storage device, stores subfiles on its
 local file system, and services client requests — "the server ... uses
 the local file system API to actually perform I/O".  Concurrency comes
 from a thread per connection (the paper's servers "spawn multiple
-processes or threads" per request); actual disk I/O is serialized per
-subfile by a lock, mirroring the sequential nature of the device.
+processes or threads" per request); actual disk I/O is serialized by
+one lock, mirroring the sequential nature of the device.  A write
+hashes the bricks it touched under that lock and returns their
+``(crc, version)``, so clients never read a brick back to checksum it.
 
 Run standalone::
 
@@ -28,7 +30,9 @@ from collections import deque
 from pathlib import Path
 from typing import Any
 
-from ..backends.local import escape_subfile_name
+from ..backends.base import BrickCrc, VersionClock
+from ..backends.local import escape_subfile_name, write_subfile
+from ..core.checksum import CRC_ALGORITHM
 from ..errors import ProtocolError
 from ..obs.registry import MetricsRegistry
 from ..util import Extent
@@ -114,6 +118,7 @@ class DPFSServer:
         self.name = name or f"dpfs://{self.address[0]}:{self.address[1]}"
         self._thread: threading.Thread | None = None
         self._io_lock = threading.Lock()
+        self._clock = VersionClock()
         self.requests_served = 0
         self.requests_rejected = 0
         #: server-side observability: every op is counted and timed in
@@ -315,8 +320,10 @@ class DPFSServer:
             raise ProtocolError(
                 f"extents cover {total} bytes but payload is {len(payload)}"
             )
-        self._write(path, name, extents, payload)
-        return {"ok": True}, b""
+        bricks = [(int(off), int(size)) for off, size in header.get("bricks", [])]
+        algo = str(header.get("brick_algo", CRC_ALGORITHM))
+        crcs = self._write(path, name, extents, payload, bricks, algo)
+        return {"ok": True, "crcs": crcs}, b""
 
     # -- local I/O (serialized — the device is sequential, §4.2) ------------
     def _read(self, path: Path, name: str, extents: list[Extent]) -> bytes:
@@ -336,12 +343,16 @@ class DPFSServer:
                 out += chunk
         return bytes(out)
 
-    def _write(self, path: Path, name: str, extents: list[Extent], payload: bytes) -> None:
+    def _write(
+        self,
+        path: Path,
+        name: str,
+        extents: list[Extent],
+        payload: bytes,
+        bricks: list[Extent],
+        algo: str,
+    ) -> list[BrickCrc]:
         if not path.exists():
             raise FileNotFoundError(f"no subfile {name!r}")
-        pos = 0
-        with self._io_lock, open(path, "r+b") as fh:
-            for off, ln in extents:
-                fh.seek(off)
-                fh.write(payload[pos : pos + ln])
-                pos += ln
+        with self._io_lock:
+            return write_subfile(path, extents, payload, bricks, algo, self._clock)

@@ -11,6 +11,10 @@ same backend + metadata database.  Mount-time recovery must leave:
 - a clean ``scrub`` (no torn or diverged data),
 - the file in exactly its old or its new state — never torn.
 
+Writes are not journalled: a crash between a write's data landing and
+its checksum commit leaves stale checksums, which scrub must report
+as ``stale-checksum`` and repair before the checks above.
+
 ``io_workers=1`` forces inline sequential dispatch so "crash after the
 first server's work" (the ``mid_*`` points) is deterministic.
 """
@@ -118,6 +122,24 @@ def _check_grow(fs, ctx):
     assert fs.read_file("/d/f")[: len(DATA)] == DATA
 
 
+def _setup_write(fs):
+    fs.makedirs("/d")
+    fs.write_file("/d/f", DATA, lhint(len(DATA), replicas=2))
+    return {"patch": b"W" * BRICK}
+
+
+def _crash_write(fs, ctx):
+    # straddles bricks 0 and 1, covering neither whole
+    handle = fs.open("/d/f", "r+")
+    handle.write(BRICK // 2, ctx["patch"])
+
+
+def _check_write(fs, ctx):
+    expected = bytearray(DATA)
+    expected[BRICK // 2 : BRICK // 2 + BRICK] = ctx["patch"]
+    assert fs.read_file("/d/f") == bytes(expected)
+
+
 def _setup_refill(fs):
     fs.makedirs("/d")
     fs.write_file("/d/f", DATA, lhint(len(DATA), replicas=2))
@@ -147,7 +169,13 @@ OPS = {
     "rename": (_setup_rename, _crash_rename, _check_rename),
     "grow": (_setup_grow, _crash_grow, _check_grow),
     "refill": (_setup_refill, _crash_refill, _check_refill),
+    "write": (_setup_write, _crash_write, _check_write),
 }
+
+#: points after which the data is on the servers but the checksums the
+#: servers returned never reached metadata; data writes have no intent,
+#: so recovery leaves them and scrub must report and repair them
+STALE_CHECKSUM_POINTS = {"handle.write.before_crc_commit"}
 
 SWEEP = [
     ("create", "filesystem.create.after_intent"),
@@ -171,12 +199,13 @@ SWEEP = [
     ("refill", "filesystem.refill.after_intent"),
     ("refill", "filesystem.refill.mid_copy"),
     ("refill", "filesystem.refill.after_copy"),
+    ("write", "handle.write.before_crc_commit"),
 ]
 
 
 def test_sweep_covers_every_registered_crash_point():
     """Adding a crash point without adding it to the sweep is an error."""
-    assert sorted(p for _op, p in SWEEP) == registered("filesystem.")
+    assert sorted(p for _op, p in SWEEP) == registered()
 
 
 @pytest.mark.parametrize("op,point", SWEEP, ids=[p for _op, p in SWEEP])
@@ -198,6 +227,11 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
     assert fs2.last_recovery is not None
     assert fs2.last_recovery.clean, str(fs2.last_recovery)
     assert fs2.intents.pending() == []
+    if point in STALE_CHECKSUM_POINTS:
+        sreport = scrub(fs2)
+        assert sreport.findings, str(sreport)
+        assert {f.kind for f in sreport.findings} == {"stale-checksum"}
+        assert not scrub(fs2, repair=True).unrepaired
     freport = fsck(fs2)
     assert freport.clean, str(freport)
     sreport = scrub(fs2)

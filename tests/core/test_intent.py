@@ -281,41 +281,3 @@ def test_rename_tolerates_missing_replica_subfiles():
     assert fs.read_file("/moved") == data
     assert fs.intents.pending() == []
     assert fsck(fs).clean
-
-
-# ---------------------------------------------------------------------------
-# satellite: per-path CRC lock map eviction
-# ---------------------------------------------------------------------------
-
-def test_crc_lock_map_does_not_retain_deleted_paths():
-    fs = DPFS.memory(n_servers=4)
-    for i in range(8):
-        path = f"/f{i}"
-        fs.write_file(path, bytes(BRICK), lhint(BRICK))
-        assert path in fs._crc_locks
-        fs.remove(path)
-        assert path not in fs._crc_locks
-    assert fs._crc_locks == {}
-
-
-def test_crc_lock_map_is_bounded_for_live_paths():
-    """Even without removes, the lock map cannot grow without bound: an
-    LRU cap evicts idle entries of live paths."""
-    fs = DPFS.memory(n_servers=2)
-    fs._crc_lock_cap = 4
-    for i in range(12):
-        fs.write_file(f"/f{i}", bytes(BRICK), lhint(BRICK))
-    assert len(fs._crc_locks) <= 4
-    assert "/f11" in fs._crc_locks  # most recent stays
-
-
-def test_crc_lock_map_rekeys_on_rename():
-    fs = DPFS.memory(n_servers=4)
-    fs.write_file("/a", bytes(BRICK), lhint(BRICK))
-    assert "/a" in fs._crc_locks
-    fs.rename("/a", "/b")
-    assert "/a" not in fs._crc_locks
-    # the new name gets a fresh lock on its next write
-    with fs.open("/b", "r+") as h:
-        h.write(0, b"x" * 16)
-    assert "/b" in fs._crc_locks

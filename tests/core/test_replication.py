@@ -247,18 +247,15 @@ def test_unreplicated_write_error_propagates():
             h.write(0, payload(BRICK))
 
 
-def test_concurrent_partial_writers_keep_checksums_fresh():
-    """Disjoint-extent writers sharing bricks (2 KiB segments in 4 KiB
-    bricks) must leave CRCs matching the merged bytes: the read-back +
-    update critical section serializes per path, so the last updater of
-    a shared brick hashes a snapshot holding both writers' data."""
+def _concurrent_partial_writers(fs, path):
+    """Six handles write disjoint 2 KiB segments of 4 KiB bricks at once;
+    return the written bytes."""
     import threading
 
-    fs, _ = make_fs(3)
     n_threads, seg = 6, BRICK // 2
     total = n_threads * seg
-    fs.write_file("/f", bytes(total), rhint(total, replicas=2))
-    handles = [fs.open("/f", "r+") for _ in range(n_threads)]
+    fs.write_file(path, bytes(total), rhint(total, replicas=2))
+    handles = [fs.open(path, "r+") for _ in range(n_threads)]
     barrier = threading.Barrier(n_threads)
     errors = []
 
@@ -274,15 +271,45 @@ def test_concurrent_partial_writers_keep_checksums_fresh():
         t.start()
     for t in threads:
         t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     for h in handles:
         h.close()
-    assert fs.read_file("/f") == b"".join(
-        bytes([i + 1]) * seg for i in range(n_threads)
-    )
-    from repro.core import scrub
+    return b"".join(bytes([i + 1]) * seg for i in range(n_threads))
 
-    assert scrub(fs).clean
+
+def test_concurrent_partial_writers_keep_checksums_fresh(tmp_path):
+    """Disjoint-extent writers sharing bricks (2 KiB segments in 4 KiB
+    bricks) must leave CRCs matching the merged bytes, over memory and
+    over TCP, 20 rounds each.  Each server hashes a brick under the lock
+    that serialises its writes and stamps the hash with a version; the
+    metadata keeps a brick's CRC only if its version is newer, so the
+    last hash — the one that saw every writer's bytes — wins whatever
+    order the writers' metadata commits arrive in."""
+    import sys
+
+    from repro.core import scrub
+    from repro.net import DPFSServer
+
+    fs, _ = make_fs(3)
+    servers = [DPFSServer(tmp_path / f"s{i}").start() for i in range(3)]
+    tcp = None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread interleavings per round
+    try:
+        tcp = DPFS.remote([s.address for s in servers], io_retries=2)
+        for mount in (fs, tcp):
+            for round_ in range(20):
+                path = f"/f{round_}"
+                expected = _concurrent_partial_writers(mount, path)
+                assert mount.read_file(path) == expected
+                assert scrub(mount).clean
+    finally:
+        sys.setswitchinterval(interval)
+        if tcp is not None:
+            tcp.close()
+        for s in servers:
+            s.stop()
 
 
 def test_partial_brick_write_keeps_checksums_fresh():

@@ -143,3 +143,51 @@ def test_header_only_frames_carry_no_crc(pair):
     send_message(a, {"op": "ping"})
     header, _ = recv_message(b)
     assert "crc" not in header
+
+
+class _TrickleSocket:
+    """Accepts at most ``step`` bytes per ``sendmsg`` call (and fails
+    once far more than one frame was sent, so a sender that never
+    advances cannot loop forever)."""
+
+    def __init__(self, step):
+        self.step = step
+        self.sent = bytearray()
+        self.calls = 0
+        self.first_call = None
+
+    def sendmsg(self, buffers):
+        if len(self.sent) > 1 << 16:
+            raise AssertionError("sender re-sent bytes it already sent")
+        self.calls += 1
+        if self.first_call is None:
+            self.first_call = [len(b) for b in buffers]
+        budget = self.step
+        for buf in buffers:
+            take = bytes(buf[:budget])
+            self.sent += take
+            budget -= len(take)
+            if not budget:
+                break
+        return self.step - budget
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_partial_sendmsg_delivers_frame_byte_exact(pair, kind):
+    """The payload goes out as its own scatter-gather buffer, and a
+    send that takes only part of the frame resumes where it stopped."""
+    blob = bytes(range(256)) * 5
+    fake = _TrickleSocket(step=7)
+    send_message(fake, {"op": "write", "extents": [[0, len(blob)]]}, kind(blob))
+    assert fake.calls == -(-len(fake.sent) // 7)
+    assert len(fake.first_call) == 2 and fake.first_call[1] == len(blob)
+
+    reference = _TrickleSocket(step=1 << 30)
+    send_message(reference, {"op": "write", "extents": [[0, len(blob)]]}, blob)
+    assert fake.sent == reference.sent
+
+    a, b = pair
+    a.sendall(fake.sent)
+    header, payload = recv_message(b)
+    assert header["op"] == "write"
+    assert payload == blob
