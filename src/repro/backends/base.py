@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
@@ -52,10 +51,11 @@ class VersionClock:
     """Per-server version stamps for brick checksums.
 
     :meth:`next` returns ``max(last + 1, time.time_ns())``: strictly
-    increasing on one server, and ordered across servers and restarts by
-    the wall clock.  The caller holds the lock that serialises the
-    server's writes, so version order is the order in which the bricks
-    were hashed.
+    increasing on one server, and ordered across its restarts by the
+    wall clock.  The caller holds the lock that serialises the server's
+    writes, so version order is the order in which the bricks were
+    hashed.  Versions from different servers are not compared: each
+    server's clock is its own.
     """
 
     def __init__(self) -> None:
@@ -66,44 +66,7 @@ class VersionClock:
         return self._last
 
 
-def _whole_in_payload(
-    extents: Sequence[Extent],
-    data: bytes | bytearray | memoryview,
-    bricks: Sequence[Extent],
-) -> list[memoryview | None]:
-    """Per brick, the payload slice holding it, when exactly one extent
-    touches the brick and covers it whole; None otherwise."""
-    order = sorted(range(len(bricks)), key=lambda i: bricks[i][0])
-    starts = [bricks[i][0] for i in order]
-    prev_end = 0
-    for i in order:
-        off, size = bricks[i]
-        if off < prev_end or size <= 0:
-            raise FileSystemError(f"invalid or overlapping brick ({off}, {size})")
-        prev_end = off + size
-    touches = [0] * len(bricks)
-    found: list[memoryview | None] = [None] * len(bricks)
-    view = memoryview(data)
-    pos = 0
-    for off, ln in extents:
-        end = off + ln
-        k = max(bisect_right(starts, off) - 1, 0)
-        while ln and k < len(order) and starts[k] < end:
-            i = order[k]
-            b_off, b_size = bricks[i]
-            if b_off + b_size > off:
-                touches[i] += 1
-                if off <= b_off and b_off + b_size <= end:
-                    at = pos + b_off - off
-                    found[i] = view[at : at + b_size]
-            k += 1
-        pos += ln
-    return [v if n == 1 else None for v, n in zip(found, touches)]
-
-
 def hash_bricks(
-    extents: Sequence[Extent],
-    data: bytes | bytearray | memoryview,
     bricks: Sequence[Extent],
     crc_algo: str,
     read_brick: Callable[[int, int], bytes | memoryview],
@@ -111,12 +74,11 @@ def hash_bricks(
 ) -> list[BrickCrc]:
     """Checksums of the bricks a just-applied write touched.
 
-    A brick covered whole by the one extent that touches it is hashed
-    straight from the payload; any other brick is re-read with
-    ``read_brick(offset, size)``, which may return fewer than ``size``
-    bytes (the sparse tail reads as zeros).  The caller holds the lock
-    that serialised the write, so the hash sees no other writer's
-    half-applied bytes.  One version from ``clock`` stamps every brick.
+    Each brick is read back with ``read_brick(offset, size)``, which may
+    return fewer than ``size`` bytes (the sparse tail reads as zeros).
+    The caller holds the lock that serialised the write, so the hash
+    sees no other writer's half-applied bytes.  One version from
+    ``clock`` stamps every brick.
     """
     if not bricks:
         return []
@@ -126,8 +88,8 @@ def hash_bricks(
     except KeyError:
         return [(None, version)] * len(bricks)
     out: list[BrickCrc] = []
-    for (off, size), whole in zip(bricks, _whole_in_payload(extents, data, bricks)):
-        chunk = whole if whole is not None else read_brick(off, size)
+    for off, size in bricks:
+        chunk = read_brick(off, size)
         try:
             value = crc(chunk, 0)
             missing = size - len(chunk)

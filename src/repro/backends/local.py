@@ -94,8 +94,6 @@ def write_subfile(
             pos += ln
         fh.flush()
         return hash_bricks(
-            extents,
-            data,
             bricks,
             crc_algo,
             lambda off, size: os.pread(fh.fileno(), size, off),

@@ -128,8 +128,6 @@ class MemoryBackend(StorageBackend):
                 blob[off:end] = view[pos : pos + ln]
                 pos += ln
             return hash_bricks(
-                extents,
-                data,
                 bricks,
                 crc_algo,
                 lambda off, size: memoryview(blob)[off : off + size],

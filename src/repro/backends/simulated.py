@@ -11,6 +11,14 @@ Operations are priced one at a time (the caller is a single synchronous
 client); for multi-client contention experiments use
 :mod:`repro.perf`, which simulates all ranks concurrently.
 
+A write is priced as the transfer and disk write of its extents only.
+The server-side read-back and hash of each brick the write touches
+(:func:`repro.backends.base.hash_bricks`) is not priced: those bytes
+were just written and sit in the server's page cache, and the model
+has no per-byte CPU cost to charge them to.  This under-prices a
+partial-brick write against a real server, which reads and hashes the
+whole brick.
+
 Pricing runs under a lock so the backend tolerates the parallel
 dispatch layer's concurrent workers (the DES environment itself is
 single-threaded).  With ``realtime_scale`` set, each operation also

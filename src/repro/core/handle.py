@@ -794,8 +794,8 @@ class FileHandle:
 
         view = memoryview(data)
         succeeded: list[ServerRequest] = []
-        #: (brick, copy) -> the (crc, version) that copy's server returned
-        crcs: dict[tuple[int, int], tuple[int | None, int]] = {}
+        #: (brick, copy) -> (crc, version, server) as that copy's server returned
+        crcs: dict[tuple[int, int], tuple[int | None, int, int]] = {}
         results_lock = threading.Lock()
 
         def put(req) -> int:
@@ -824,7 +824,7 @@ class FileHandle:
                     # two requests to one copy (uncombined slices of one
                     # brick): the later hash saw both writes
                     if key not in crcs or version > crcs[key][1]:
-                        crcs[key] = (crc, version)
+                        crcs[key] = (crc, version, req.server)
             return len(blob)
 
         def done(req, result) -> None:
@@ -883,24 +883,30 @@ class FileHandle:
                 )
         return bricks
 
-    def _commit_crcs(self, crcs: dict[tuple[int, int], tuple[int | None, int]]) -> None:
+    def _commit_crcs(
+        self, crcs: dict[tuple[int, int], tuple[int | None, int, int]]
+    ) -> None:
         """Store the checksums the servers returned, one transaction.
 
         Each brick's ``(crc, version)`` comes from the lowest-index copy
-        that took the write; metadata keeps it only if its version is
-        newer than the stored one, so concurrent writers of one brick
+        that took the write and is stamped with that copy's server;
+        metadata keeps it unless the stored checksum came from the same
+        server with a newer version, so concurrent writers of one brick
         need no client-side lock.
         """
-        chosen: dict[int, tuple[int | None, int]] = {}
+        chosen: dict[int, tuple[int | None, int, int]] = {}
         for (brick_id, _copy), result in sorted(crcs.items(), reverse=True):
             chosen[brick_id] = result  # a brick's lowest copy comes last
-        versions = {b: version for b, (_crc, version) in chosen.items()}
+        names = self.fs._server_names
+        versions = {
+            b: (names[server], version) for b, (_c, version, server) in chosen.items()
+        }
         applied = self.fs.meta.update_brick_crcs(
-            self.record.path, {b: crc for b, (crc, _v) in chosen.items()}, versions
+            self.record.path, {b: crc for b, (crc, _v, _s) in chosen.items()}, versions
         )
         for brick_id, crc in applied.items():
             self.record.brick_crcs[brick_id] = crc
-            self.record.brick_crc_versions[brick_id] = versions[brick_id]
+            self.record.brick_crc_versions[brick_id] = list(versions[brick_id])
 
     # ------------------------------------------------------------------
     # growth (linear level)

@@ -96,9 +96,10 @@ class FileRecord:
     brick_crcs: list[int | None] = field(default_factory=list)
     #: algorithm the stored checksums were computed under
     crc_algo: str = CRC_ALGORITHM
-    #: per-brick version of each stored checksum, as stamped by the
-    #: server that hashed it; ``None`` = not set by a server write
-    brick_crc_versions: list[int | None] = field(default_factory=list)
+    #: per-brick ``[server_name, version]`` of each stored checksum, as
+    #: stamped by the server that hashed it; ``None`` = not set by a
+    #: server write
+    brick_crc_versions: list[list | None] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.pad_crcs()
@@ -485,18 +486,20 @@ class MetadataManager:
         self,
         path: str,
         crcs: dict[int, int | None],
-        versions: dict[int, int] | None = None,
+        versions: dict[int, tuple[str, int]] | None = None,
     ) -> dict[int, int | None]:
         """Merge per-brick checksums into the geometry; returns the ones
         stored.
 
         One transaction per *write call*, not per brick — the handle
         batches every brick a write touched into a single ``crcs`` dict.
-        With ``versions`` (a server write's stamps), a brick's checksum
-        is stored only if its version is newer than the stored one, so
-        a slow writer's commit cannot replace a newer writer's checksum.
-        Without (scrub, fsck), checksums are stored and the stored
-        versions kept.
+        With ``versions`` (a server write's ``(server_name, version)``
+        stamps), a brick's checksum stamped by the same server as the
+        stored one is stored only if its version is newer, so a slow
+        writer's commit cannot replace a newer writer's checksum.  A
+        stamp from another server always replaces the stored one: two
+        servers' clocks are never compared.  Without ``versions``
+        (scrub, fsck), checksums are stored and the stored stamps kept.
         """
         if not crcs:
             return {}
@@ -521,10 +524,11 @@ class MetadataManager:
                         f"brick {brick_id} outside crc table of {n}"
                     )
                 if versions is not None:
-                    version = versions[brick_id]
-                    if stamps[brick_id] is not None and version <= stamps[brick_id]:
+                    server, version = versions[brick_id]
+                    old = stamps[brick_id]
+                    if old is not None and old[0] == server and version <= old[1]:
                         continue
-                    stamps[brick_id] = version
+                    stamps[brick_id] = [server, version]
                 stored[brick_id] = crc
                 applied[brick_id] = crc
             if not applied:

@@ -36,9 +36,29 @@ from ..core.checksum import CRC_ALGORITHM
 from ..errors import ProtocolError
 from ..obs.registry import MetricsRegistry
 from ..util import Extent
-from .protocol import OPS, recv_message, send_message
+from .protocol import MAX_PAYLOAD, OPS, recv_message, send_message
 
 __all__ = ["DPFSServer"]
+
+
+def _parse_bricks(raw: Any) -> list[Extent]:
+    """The ``(local_offset, size)`` brick list of a write header.
+
+    Checked before the write is applied, so a rejected request leaves
+    the subfile untouched: bricks must not overlap, and each must be
+    non-empty and no larger than the wire's payload limit (the server
+    reads each whole brick back to hash it).
+    """
+    try:
+        bricks = [(int(off), int(size)) for off, size in raw]
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed brick list: {exc}") from None
+    end = 0
+    for off, size in sorted(bricks):
+        if off < end or not 0 < size <= MAX_PAYLOAD:
+            raise ProtocolError(f"invalid or overlapping brick ({off}, {size})")
+        end = off + size
+    return bricks
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -320,7 +340,7 @@ class DPFSServer:
             raise ProtocolError(
                 f"extents cover {total} bytes but payload is {len(payload)}"
             )
-        bricks = [(int(off), int(size)) for off, size in header.get("bricks", [])]
+        bricks = _parse_bricks(header.get("bricks", []))
         algo = str(header.get("brick_algo", CRC_ALGORITHM))
         crcs = self._write(path, name, extents, payload, bricks, algo)
         return {"ok": True, "crcs": crcs}, b""

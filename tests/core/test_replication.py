@@ -283,9 +283,10 @@ def test_concurrent_partial_writers_keep_checksums_fresh(tmp_path):
     bricks) must leave CRCs matching the merged bytes, over memory and
     over TCP, 20 rounds each.  Each server hashes a brick under the lock
     that serialises its writes and stamps the hash with a version; the
-    metadata keeps a brick's CRC only if its version is newer, so the
-    last hash — the one that saw every writer's bytes — wins whatever
-    order the writers' metadata commits arrive in."""
+    metadata keeps a brick's CRC unless the stored one came from the
+    same server with a newer version, so the last hash — the one that
+    saw every writer's bytes — wins whatever order the writers'
+    metadata commits arrive in."""
     import sys
 
     from repro.core import scrub

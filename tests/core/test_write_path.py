@@ -3,23 +3,24 @@ that store a brick return its checksum.
 
 Every backend implements ``write_extents(..., bricks, crc_algo) ->
 [(crc, version)]``; the handle commits the checksum of the lowest-index
-copy that took a write, and metadata keeps it only when its version is
-newer than the stored one.
+copy that took a write, and metadata keeps it unless the stored one was
+stamped by the same server with a newer version.
 """
 
 import re
+import time
 
 import pytest
 
-from repro.backends.base import VersionClock, hash_bricks
 from repro.backends.faulty import FaultyBackend
 from repro.backends.local import LocalBackend
 from repro.backends.memory import MemoryBackend
 from repro.backends.simulated import SimulatedBackend
 from repro.core import DPFS, Hint, scrub
 from repro.core.checksum import CRC_ALGORITHM, checksum
-from repro.errors import ChecksumError, FileSystemError
+from repro.errors import ChecksumError, ServerError
 from repro.net import DPFSServer, RemoteBackend
+from repro.net.protocol import MAX_PAYLOAD
 from repro.netsim import CLASS1
 
 BRICK = 4096
@@ -60,8 +61,8 @@ def backend(request, tmp_path):
 # -- the backend contract ----------------------------------------------------
 
 def test_backend_returns_checksums_of_the_stored_bricks(backend):
-    """A brick covered whole and a partially written one (hashed from
-    the payload and from storage) both match the bytes a read returns."""
+    """A brick covered whole and a partially written one both match the
+    bytes a read returns."""
     backend.create_subfile(0, "/f")
     backend.write_extents(0, "/f", [(0, 2 * BRICK)], payload(2 * BRICK))
     extents = [(BRICK + 100, 50), (2 * BRICK, BRICK)]
@@ -114,17 +115,37 @@ def test_unknown_algorithm_yields_unknown_checksum(backend):
     assert crc is None and version > 0
 
 
-def test_overlapping_bricks_rejected():
-    with pytest.raises(FileSystemError):
-        hash_bricks(
-            [(0, 8)], b"x" * 8, [(0, 8), (4, 8)], CRC_ALGORITHM,
-            lambda off, size: b"", VersionClock(),
-        )
+@pytest.mark.parametrize(
+    "bricks",
+    [
+        [(0, 8), (4, 8)],
+        [(8, 8), (0, 9)],
+        [(0, 0)],
+        [(-1, 8)],
+        [(0, MAX_PAYLOAD + 1)],
+        [(0,)],
+    ],
+)
+def test_server_rejects_a_bad_brick_list_before_writing(tmp_path, bricks):
+    """Overlapping, empty, negative or oversized bricks fail the request
+    with ProtocolError, and the write is not applied."""
+    with DPFSServer(tmp_path / "s") as server:
+        remote = RemoteBackend([server.address])
+        try:
+            remote.create_subfile(0, "/f")
+            remote.write_extents(0, "/f", [(0, 16)], b"a" * 16)
+            with pytest.raises(ServerError, match="ProtocolError"):
+                remote.write_extents(
+                    0, "/f", [(0, 16)], b"b" * 16, bricks, CRC_ALGORITHM
+                )
+            assert remote.read_extents(0, "/f", [(0, 16)]) == b"a" * 16
+        finally:
+            remote.close()
 
 
-def test_brick_touched_twice_is_hashed_from_storage():
-    """A later extent overwriting part of a brick the first one covered
-    whole: the payload view would be stale, so the stored bytes count."""
+def test_brick_touched_twice_is_hashed_after_both_extents():
+    """Two extents of one request land in one brick: the checksum covers
+    the bytes both left behind."""
     backend = MemoryBackend(1)
     backend.create_subfile(0, "/f")
     data = b"a" * BRICK + b"Z"
@@ -146,14 +167,19 @@ def test_metadata_keeps_the_newest_version():
         record, _ = meta.load_file("/f")
         return record.brick_crcs[0], record.brick_crc_versions[0]
 
-    _, v0 = stored()
-    assert meta.update_brick_crcs("/f", {0: 11}, {0: v0 + 100}) == {0: 11}
-    assert meta.update_brick_crcs("/f", {0: 22}, {0: v0 + 50}) == {}
-    assert stored() == (11, v0 + 100)
-    assert meta.update_brick_crcs("/f", {0: 33}, {0: v0 + 101}) == {0: 33}
-    # a scrub-style update sets the crc and keeps the stored version
+    _, (name, v0) = stored()
+    assert meta.update_brick_crcs("/f", {0: 11}, {0: (name, v0 + 100)}) == {0: 11}
+    assert meta.update_brick_crcs("/f", {0: 22}, {0: (name, v0 + 50)}) == {}
+    assert stored() == (11, [name, v0 + 100])
+    assert meta.update_brick_crcs("/f", {0: 33}, {0: (name, v0 + 101)}) == {0: 33}
+    # a scrub-style update sets the crc and keeps the stored stamp
     assert meta.update_brick_crcs("/f", {0: 44}) == {0: 44}
-    assert stored() == (44, v0 + 101)
+    assert stored() == (44, [name, v0 + 101])
+    # another server's clock is not compared: its stamp replaces
+    assert meta.update_brick_crcs("/f", {0: 55}, {0: ("other", 1)}) == {0: 55}
+    assert stored() == (55, ["other", 1])
+    assert meta.update_brick_crcs("/f", {0: 66}, {0: (name, v0)}) == {0: 66}
+    assert stored() == (66, [name, v0])
 
 
 def test_growth_extends_the_version_list():
@@ -165,6 +191,34 @@ def test_growth_extends_the_version_list():
     record, bmap = fs.meta.load_file("/f")
     assert len(record.brick_crc_versions) == len(bmap) == 3
     assert all(v is not None for v in record.brick_crc_versions)
+    assert scrub(fs).clean
+
+
+def test_replica_clock_running_ahead_does_not_mask_later_writes():
+    """A degraded write takes its checksum from a replica whose clock
+    runs far ahead; the next write's checksum, from the primary with a
+    lower version, must still be committed, so the brick verifies."""
+    inner = MemoryBackend(3)
+    backend = FaultyBackend(inner)
+    fs = DPFS(backend)
+    hint = Hint.linear(file_size=BRICK, brick_size=BRICK, replicas=2)
+    fs.write_file("/f", payload(BRICK), hint)
+    record, bmap = fs.meta.load_file("/f")
+    primary = bmap.location(0).server
+    (rloc,) = fs.meta.load_replica_map("/f", record).locations(0)
+    inner._clocks[rloc.server]._last = time.time_ns() + 10**15  # ~12 days
+    backend.fail_on("write", server=primary)
+    with fs.open("/f", "r+") as h:
+        h.write(100, payload(50, 1))
+    backend.heal()
+    assert fs.metrics.counter("dpfs_write_degraded_total").total() == 1
+    fresh = payload(BRICK, 2)
+    with fs.open("/f", "r+") as h:
+        h.write(0, fresh)
+    record, _ = fs.meta.load_file("/f")
+    assert record.brick_crcs[0] == checksum(fresh)
+    assert fs.read_file("/f") == fresh
+    assert fs.metrics.counter("dpfs_checksum_errors_total").total() == 0
     assert scrub(fs).clean
 
 
