@@ -7,11 +7,14 @@ working simultaneously*.  This module supplies that missing half on the
 client: a shared worker pool that fans a wire plan's per-server
 requests out concurrently, with a bounded retry-with-exponential-
 backoff policy for transient failures (ServerBusy admission rejections,
-injected transient faults) and a per-request completion deadline.
+lost connections, injected transient faults) and a per-request
+completion deadline.  This is the only retry loop on the request path:
+the transports beneath make one attempt and raise.
 
 Transience is attribute-based: any exception whose ``transient``
 attribute is truthy (:func:`is_transient`) is retried up to
-``DispatchPolicy.retries`` times; every other error propagates
+``DispatchPolicy.retries`` times, so a request is tried at most
+``retries + 1`` times; every other error propagates
 unchanged on first occurrence.  When a transient error outlives the
 budget it is wrapped in :class:`repro.errors.RetryExhausted` naming the
 failing server, with the original exception chained.
@@ -66,6 +69,9 @@ T = TypeVar("T")
 #: off it)
 _WORKER_PREFIX = "dpfs-io"
 
+#: ceiling of the exponential backoff between re-attempts
+_BACKOFF_CAP_S = 0.25
+
 
 def is_transient(exc: BaseException) -> bool:
     """True when ``exc`` is marked safe to retry (``.transient``)."""
@@ -86,14 +92,13 @@ class DispatchPolicy:
     timeout_s: float | None = None
     retries: int = 3
     backoff_s: float = 0.002
-    backoff_cap_s: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
             raise ConfigError("max_workers must be >= 1")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
-        if self.backoff_s < 0 or self.backoff_cap_s < 0:
+        if self.backoff_s < 0:
             raise ConfigError("backoff must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigError("timeout_s must be positive")
@@ -483,7 +488,7 @@ class Dispatcher:
                 if delay:
                     time.sleep(delay)
                     backoff_total += delay
-                delay = min(delay * 2 if delay else policy.backoff_s, policy.backoff_cap_s)
+                delay = min(delay * 2 if delay else policy.backoff_s, _BACKOFF_CAP_S)
                 continue
             done = time.perf_counter()
             service = done - attempt_start

@@ -228,26 +228,17 @@ class DPFS:
     ) -> "DPFS":
         """TCP-backed instance over running ``dpfs server`` processes.
 
-        Net knobs (``pool_size``, ``timeout``, ``busy_retries``,
-        ``busy_backoff_s``, ``reconnect_attempts``,
-        ``reconnect_backoff_s``, ``down_after``, ``ping_interval_s``)
-        are forwarded to :class:`~repro.net.client.RemoteBackend`; the
-        rest configure the mount as usual.
+        Net knobs (``pool_size``, ``timeout``, ``down_after``,
+        ``ping_interval_s``) are forwarded to
+        :class:`~repro.net.client.RemoteBackend`; the rest configure the
+        mount as usual, ``io_retries`` / ``io_backoff_s`` among them:
+        the dispatcher is the only place a request is retried.
         """
         from ..net.client import RemoteBackend
 
         backend_kw = {
             k: kwargs.pop(k)
-            for k in (
-                "timeout",
-                "pool_size",
-                "busy_retries",
-                "busy_backoff_s",
-                "reconnect_attempts",
-                "reconnect_backoff_s",
-                "down_after",
-                "ping_interval_s",
-            )
+            for k in ("timeout", "pool_size", "down_after", "ping_interval_s")
             if k in kwargs
         }
         return cls(RemoteBackend(addresses, **backend_kw), **kwargs)

@@ -201,13 +201,12 @@ class TransportError(DPFSError):
 
 
 class ConnectionLost(TransportError):
-    """The socket to a server broke mid-exchange, or a replacement could
-    not be established within the connection pool's reconnect budget.
-    Marked transient: the broken socket is discarded before this is
-    raised (a desynced socket never serves another request) and every
-    operation the dispatch layer replays — extent reads and writes — is
-    idempotent, so the dispatcher's retry budget may re-issue the
-    request on a fresh connection."""
+    """The socket to a server broke mid-exchange, or the one dial for a
+    replacement failed.  Marked transient: the broken socket is
+    discarded before this is raised (a desynced socket never serves
+    another request) and every operation the dispatch layer replays —
+    extent reads and writes — is idempotent, so the dispatcher's retry
+    budget may re-issue the request on a fresh connection."""
 
     transient = True
 

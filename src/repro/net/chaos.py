@@ -16,6 +16,7 @@ scheduling API mirrors :class:`repro.backends.faulty.FaultyBackend`
     proxy.truncate_next()             # cut the next reply mid-frame
     proxy.corrupt_next()              # flip a payload byte in the next frame
     proxy.sever_after(3)              # kill one connection after 3 msgs
+    proxy.lose_reply("rename")        # relay a rename, cut before its reply
     proxy.sever_all()                 # kill every live connection now
     proxy.retarget(new_address)       # upstream restarted elsewhere
     proxy.heal()                      # drop every rule
@@ -29,6 +30,7 @@ mid-message" desync, the worst case the client must survive — and
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -67,6 +69,7 @@ class _Rule:
     delay_s: float = 0.0
     after_messages: int = 0
     direction: str | None = None    # "c2s" | "s2c" | None = both
+    op: str | None = None           # sever: only the reply to this op
     fired: int = 0
 
     def live(self) -> bool:
@@ -88,6 +91,7 @@ class _Pipe:
         self.client = client
         self.upstream = upstream
         self.messages = 0           # relayed frames, both directions
+        self.last_op: str | None = None  # op of the last request relayed
         self._dead = False
         self._lock = threading.Lock()
         self._threads = [
@@ -131,6 +135,10 @@ class _Pipe:
             body = _read_exact(src, header_len + payload_len)
             if body is None:
                 break
+            if direction == "c2s":
+                # set before the request is relayed, so it is in place
+                # before the server can reply
+                self.last_op = json.loads(body[:header_len]).get("op")
             delay_s, verdict = self.proxy._on_message(self, direction, payload_len)
             if delay_s:
                 time.sleep(delay_s)
@@ -193,6 +201,12 @@ class ChaosProxy:
     def stop(self) -> None:
         self._closed = True
         try:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the join below is prompt
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
@@ -247,6 +261,13 @@ class ChaosProxy:
         (``times`` counts affected connections)."""
         with self._rules_lock:
             self._rules.append(_Rule("sever", times, after_messages=n_messages))
+
+    def lose_reply(self, op: str, times: int = 1) -> None:
+        """Relay the next ``times`` requests whose op is ``op``, then kill
+        the connection instead of relaying the reply: the server has
+        done the work and the client never hears of it."""
+        with self._rules_lock:
+            self._rules.append(_Rule("sever", times, direction="s2c", op=op))
 
     def sever_all(self) -> None:
         """Kill every live proxied connection right now (server death)."""
@@ -305,6 +326,7 @@ class ChaosProxy:
                 if (
                     rule.matches("sever", direction)
                     and pipe.messages >= rule.after_messages
+                    and rule.op in (None, pipe.last_op)
                 ):
                     rule.fired += 1
                     self.faults_fired["sever"] += 1

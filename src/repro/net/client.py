@@ -18,15 +18,13 @@ as table stakes):
   never serve another request — and surfaces as
   :class:`~repro.errors.ConnectionLost`, which is transient: the
   dispatcher's retry budget replays the (idempotent) request on a fresh
-  socket.  Establishing a fresh socket retries with exponential backoff
-  up to ``reconnect_attempts`` times.
+  socket.  Nothing here retries: a request is one exchange and a fresh
+  socket is one dial, so the dispatcher is the only retry loop.
 - **Health states.**  Each server is ``UP``, ``DEGRADED`` (recent
-  failure) or ``DOWN`` (``down_after`` consecutive failures).  A DOWN
-  server fast-fails its connect (one attempt, no backoff) so a dead
-  node degrades the mount instead of stalling it; background ping
-  probes (``ping_interval_s``) and ordinary traffic both drive the
-  DOWN → UP transition.  States export through the metrics registry and
-  ``dpfs stats``.
+  failure) or ``DOWN`` (``down_after`` consecutive failures).
+  Background ping probes (``ping_interval_s``) and ordinary traffic
+  both drive the DOWN → UP transition.  States export through the
+  metrics registry and ``dpfs stats``.
 """
 
 from __future__ import annotations
@@ -79,13 +77,10 @@ class ServerConnection:
     constructor's ping opened.
 
     Busy rejections (§4.2: overloaded servers tell clients to "try
-    again later") are retried with exponential backoff up to
-    ``busy_retries`` times before surfacing as
-    :class:`ServerBusyError` — which is marked transient, so the
-    dispatch layer above may apply its own retry budget on top
-    (``busy_retries=0`` delegates retrying entirely to the dispatcher).
-    Connection failures surface as :class:`ConnectionLost` (also
-    transient) after the broken socket has been discarded.
+    again later") surface at once as :class:`ServerBusyError`, and
+    connection failures as :class:`ConnectionLost` after the broken
+    socket has been discarded.  Both are marked transient: the dispatch
+    layer above is the one place they are retried.
     """
 
     def __init__(
@@ -95,10 +90,6 @@ class ServerConnection:
         timeout: float = 30.0,
         *,
         pool_size: int = 4,
-        busy_retries: int = 8,
-        busy_backoff_s: float = 0.01,
-        reconnect_attempts: int = 3,
-        reconnect_backoff_s: float = 0.02,
         down_after: int = 3,
     ) -> None:
         if pool_size < 1:
@@ -107,10 +98,6 @@ class ServerConnection:
         self.port = port
         self.timeout = timeout
         self.pool_size = pool_size
-        self.busy_retries = busy_retries
-        self.busy_backoff_s = busy_backoff_s
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_backoff_s = reconnect_backoff_s
         self.down_after = down_after
 
         #: pool state — guarded by the condition's lock
@@ -122,7 +109,6 @@ class ServerConnection:
         self._consecutive_failures = 0
 
         #: counters — guarded by ``_cond``'s lock as well (cold path)
-        self._busy_retried = 0
         self._reconnects = 0
         self._discarded = 0
         self._health_transitions = 0
@@ -146,16 +132,6 @@ class ServerConnection:
     def health(self) -> ServerHealth:
         with self._cond:
             return self._health
-
-    @property
-    def retried_requests(self) -> int:
-        """Busy re-attempts made at the connection level (thread-safe)."""
-        with self._cond:
-            return self._busy_retried
-
-    def _note_busy_retry(self) -> None:
-        with self._cond:
-            self._busy_retried += 1
 
     def _set_health(self, new: ServerHealth) -> None:
         """Transition to ``new`` (caller holds ``_cond``'s lock)."""
@@ -188,7 +164,7 @@ class ServerConnection:
         request, so a probe alone drives the DOWN → UP transition.
         """
         try:
-            self._call_once({"op": "ping"})
+            self._call({"op": "ping"})
         except TransportError:
             return False
         return True
@@ -206,52 +182,32 @@ class ServerConnection:
                 "pool_size": self.pool_size,
                 "reconnects": self._reconnects,
                 "discarded": self._discarded,
-                "busy_retried": self._busy_retried,
             }
 
     # -- socket lifecycle ---------------------------------------------------
-    def _connect_once(self) -> socket.socket:
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
-
     def _connect(self) -> socket.socket:
-        """Dial with bounded exponential backoff.
-
-        A DOWN server gets exactly one attempt — fast-fail keeps a dead
-        node from stalling every request for the full backoff budget;
-        the dispatcher's own backoff (or the background probe) paces
-        further attempts.
-        """
-        attempts = self.reconnect_attempts
+        """One dial, no retry: a failure is one strike against the
+        server's health and surfaces as transient :class:`ConnectionLost`
+        for the dispatcher to pace.  A dial that succeeds while the
+        server is not UP counts as a reconnect."""
+        try:
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            )
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            self._record_failure()
+            raise ConnectionLost(
+                f"cannot connect to dpfs server at {self.host}:{self.port}: {exc}"
+            ) from exc
         with self._cond:
-            if self._health is ServerHealth.DOWN:
-                attempts = 0
-        delay = self.reconnect_backoff_s
-        last: OSError | None = None
-        for attempt in range(attempts + 1):
-            try:
-                sock = self._connect_once()
-            except OSError as exc:
-                last = exc
-                if attempt < attempts:
-                    time.sleep(delay)
-                    delay = min(delay * 2, 1.0)
-                continue
-            if attempt:
-                with self._cond:
-                    self._reconnects += 1
-                obs = self._health_obs
-                if obs is not None:
-                    obs[2].inc()
-            return sock
-        self._record_failure()
-        raise ConnectionLost(
-            f"cannot connect to dpfs server at {self.host}:{self.port} "
-            f"after {attempts + 1} attempt(s): {last}"
-        ) from last
+            reconnect = self._health is not ServerHealth.UP
+            if reconnect:
+                self._reconnects += 1
+        obs = self._health_obs
+        if reconnect and obs is not None:
+            obs[2].inc()
+        return sock
 
     def _checkout(self) -> socket.socket:
         """An idle socket, a fresh one, or (pool exhausted) wait."""
@@ -268,7 +224,7 @@ class ServerConnection:
                     break
                 self._cond.wait(timeout=1.0)
                 continue
-        # grow the pool outside the lock — connecting may sleep
+        # grow the pool outside the lock — dialing blocks
         try:
             return self._connect()
         except BaseException:
@@ -355,71 +311,54 @@ class ServerConnection:
             self._health_obs[0].set(self._health.value)
 
     # -- plumbing ---------------------------------------------------------
-    def _call_once(
-        self, header: dict[str, Any], payload: bytes = b""
-    ) -> tuple[dict[str, Any], bytes]:
-        rid = current_trace_id()
-        if rid is not None:
-            header["rid"] = rid
-        start = time.perf_counter()
-        sock = self._checkout()
-        try:
-            send_message(sock, header, payload)
-            reply, data = recv_message(sock)
-        except (OSError, ProtocolError) as exc:
-            # mid-exchange failure: the socket may hold half a frame —
-            # discard it so a stale reply can never desync a later
-            # request, then surface as transient ConnectionLost
-            self._discard(sock)
-            self._record_failure()
-            raise ConnectionLost(
-                f"I/O error talking to {self.host}:{self.port}: {exc}"
-            ) from exc
-        self._checkin(sock)
-        self._record_success()
-        obs = self._obs
-        if obs is not None:
-            elapsed = time.perf_counter() - start
-            op = header.get("op", "?")
-            bound = self._op_counters.get(op)
-            if bound is None:
-                bound = self._op_counters[op] = obs[0].labels(op=op)
-            bound.inc()
-            obs[1].observe(elapsed)
-            if payload:
-                obs[2].inc(len(payload))
-            if data:
-                obs[3].inc(len(data))
-        if not reply.get("ok"):
-            kind = reply.get("kind", "ServerError")
-            message = reply.get("error", "unknown server error")
-            if kind == "FileNotFoundError":
-                raise FileSystemError(message)
-            if kind == "ServerBusy":
-                raise ServerBusyError(f"{kind}: {message}")
-            raise ServerError(f"{kind}: {message}")
-        return reply, data
-
     def _call(
         self, header: dict[str, Any], payload: bytes = b""
     ) -> tuple[dict[str, Any], bytes]:
+        """Exactly one request/reply exchange; every failure goes up."""
         with span(
             "net.rpc", op=header.get("op", "?"), server=f"{self.host}:{self.port}"
-        ) as rpc_span:
-            delay = self.busy_backoff_s
-            for attempt in range(self.busy_retries + 1):
-                try:
-                    reply, data = self._call_once(header, payload)
-                    if attempt:
-                        rpc_span.tag(busy_retries=attempt)
-                    return reply, data
-                except ServerBusyError:
-                    if attempt == self.busy_retries:
-                        raise
-                    self._note_busy_retry()
-                    time.sleep(delay)
-                    delay = min(delay * 2, 1.0)
-        raise AssertionError("unreachable")  # pragma: no cover
+        ):
+            rid = current_trace_id()
+            if rid is not None:
+                header["rid"] = rid
+            start = time.perf_counter()
+            sock = self._checkout()
+            try:
+                send_message(sock, header, payload)
+                reply, data = recv_message(sock)
+            except (OSError, ProtocolError) as exc:
+                # mid-exchange failure: the socket may hold half a frame —
+                # discard it so a stale reply can never desync a later
+                # request, then surface as transient ConnectionLost
+                self._discard(sock)
+                self._record_failure()
+                raise ConnectionLost(
+                    f"I/O error talking to {self.host}:{self.port}: {exc}"
+                ) from exc
+            self._checkin(sock)
+            self._record_success()
+            obs = self._obs
+            if obs is not None:
+                elapsed = time.perf_counter() - start
+                op = header.get("op", "?")
+                bound = self._op_counters.get(op)
+                if bound is None:
+                    bound = self._op_counters[op] = obs[0].labels(op=op)
+                bound.inc()
+                obs[1].observe(elapsed)
+                if payload:
+                    obs[2].inc(len(payload))
+                if data:
+                    obs[3].inc(len(data))
+            if not reply.get("ok"):
+                kind = reply.get("kind", "ServerError")
+                message = reply.get("error", "unknown server error")
+                if kind == "FileNotFoundError":
+                    raise FileSystemError(message)
+                if kind == "ServerBusy":
+                    raise ServerBusyError(f"{kind}: {message}")
+                raise ServerError(f"{kind}: {message}")
+            return reply, data
 
     def _ping(self) -> ServerInfo:
         reply, _ = self._call({"op": "ping"})
@@ -531,14 +470,12 @@ class RemoteBackend(StorageBackend):
     """Storage backend over a set of (host, port) DPFS servers.
 
     ``timeout`` bounds each socket exchange; ``pool_size`` caps the
-    sockets kept per server; ``busy_retries`` / ``busy_backoff_s`` tune
-    the connection-level retry of §4.2 busy rejections (set
-    ``busy_retries=0`` to let the dispatch layer's budget govern
-    instead).  ``reconnect_attempts`` / ``reconnect_backoff_s`` bound
-    the dial-with-backoff loop behind auto-reconnect, ``down_after``
-    sets how many consecutive failures mark a server DOWN, and a
-    nonzero ``ping_interval_s`` starts a daemon thread that pings
-    non-UP servers so recovery is noticed even on an idle mount.
+    sockets kept per server; ``down_after`` sets how many consecutive
+    failures mark a server DOWN, and a nonzero ``ping_interval_s``
+    starts a daemon thread that pings non-UP servers so recovery is
+    noticed even on an idle mount.  Requests are never retried here:
+    §4.2 busy rejections and lost connections surface as transient
+    errors for the dispatcher's retry budget (``io_retries``).
     """
 
     def __init__(
@@ -547,10 +484,6 @@ class RemoteBackend(StorageBackend):
         timeout: float = 30.0,
         *,
         pool_size: int = 4,
-        busy_retries: int = 8,
-        busy_backoff_s: float = 0.01,
-        reconnect_attempts: int = 3,
-        reconnect_backoff_s: float = 0.02,
         down_after: int = 3,
         ping_interval_s: float | None = None,
     ) -> None:
@@ -562,10 +495,6 @@ class RemoteBackend(StorageBackend):
                 port,
                 timeout,
                 pool_size=pool_size,
-                busy_retries=busy_retries,
-                busy_backoff_s=busy_backoff_s,
-                reconnect_attempts=reconnect_attempts,
-                reconnect_backoff_s=reconnect_backoff_s,
                 down_after=down_after,
             )
             for host, port in addresses

@@ -1,6 +1,8 @@
 """Server overload and client retry (§4.2: un-handled requests "have to
 try again later"), including busy storms under the parallel dispatch
-layer's pool fan-out."""
+layer's pool fan-out.  The dispatcher is the only retry loop: a
+connection makes one attempt per request, so every budget here is set
+through ``io_retries`` / ``io_backoff_s``."""
 
 import threading
 import time
@@ -8,7 +10,7 @@ import time
 import pytest
 
 from repro.core import DPFS, Hint
-from repro.errors import ServerBusyError, ServerError
+from repro.errors import RetryExhausted, ServerBusyError, ServerError
 from repro.net import DPFSServer, RemoteBackend, ServerConnection
 
 
@@ -33,26 +35,30 @@ def test_unlimited_server_never_rejects(tmp_path):
 
 
 def test_flood_triggers_rejection_and_retry(busy_server):
-    """Many concurrent connections against max_concurrent=1: rejections
-    happen, retries recover, every request eventually succeeds."""
+    """Many concurrent clients against max_concurrent=1: rejections
+    happen, the dispatcher's retries recover, every request eventually
+    succeeds."""
     n_threads = 8
     per_thread = 5
     payload = b"x" * 4096
+    hint = Hint.linear(file_size=len(payload), brick_size=len(payload))
     errors = []
     retried = []
 
     def work(n):
         try:
-            conn = ServerConnection(
-                *busy_server.address, busy_retries=50, busy_backoff_s=0.002
+            fs = DPFS.remote(
+                [busy_server.address], io_workers=1, io_retries=50,
+                io_backoff_s=0.002,
             )
             name = f"/t{n}"
-            conn.create(name)
-            for _ in range(per_thread):
-                conn.write(name, [(0, len(payload))], payload)
-                assert conn.read(name, [(0, 16)]) == payload[:16]
-            retried.append(conn.retried_requests)
-            conn.close()
+            fs.write_file(name, payload, hint=hint)
+            with fs.open(name, "r+") as handle:
+                for _ in range(per_thread):
+                    handle.write(0, payload)
+                    assert handle.read(0, 16) == payload[:16]
+            retried.append(fs.dispatcher.stats.retries)
+            fs.close()
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
@@ -60,7 +66,8 @@ def test_flood_triggers_rejection_and_retry(busy_server):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads), "flood never drained"
     assert not errors
     # with 8 writers against a 1-slot server, rejections are certain
     assert busy_server.requests_rejected > 0
@@ -71,9 +78,7 @@ def test_retries_exhausted_surface_as_server_error(tmp_path):
     with DPFSServer(tmp_path / "s", max_concurrent=1) as server:
         blocker = ServerConnection(*server.address)
         blocker.create("/big")
-        victim = ServerConnection(
-            *server.address, busy_retries=1, busy_backoff_s=0.001
-        )
+        victim = ServerConnection(*server.address)
         victim.create("/v")
 
         hold = threading.Event()
@@ -124,12 +129,12 @@ def test_metadata_ops_not_throttled(busy_server):
 # ---------------------------------------------------------------------------
 
 def test_busy_rejection_is_typed_and_transient(tmp_path):
-    """With the connection-level retry disabled, a busy rejection
-    surfaces as ServerBusyError — marked transient for the dispatcher."""
+    """A busy rejection surfaces from the connection as ServerBusyError
+    — marked transient for the dispatcher."""
     with DPFSServer(tmp_path / "s", max_concurrent=1) as server:
         blocker = ServerConnection(*server.address)
         blocker.create("/big")
-        victim = ServerConnection(*server.address, busy_retries=0)
+        victim = ServerConnection(*server.address)
         victim.create("/v")
 
         hold = threading.Event()
@@ -175,8 +180,10 @@ def test_pool_fanout_drains_busy_cluster_without_deadlock(tmp_path):
         addresses = [s0.address, s1.address]
         clients = [
             DPFS(
-                RemoteBackend(addresses, busy_retries=50, busy_backoff_s=0.001),
+                RemoteBackend(addresses),
                 io_workers=8,
+                io_retries=200,
+                io_backoff_s=0.001,
             )
             for _ in range(n_clients)
         ]
@@ -214,14 +221,14 @@ def test_pool_fanout_drains_busy_cluster_without_deadlock(tmp_path):
 
 
 def test_dispatcher_budget_covers_busy_when_connection_does_not(tmp_path):
-    """busy_retries=0 delegates §4.2 retrying entirely to the dispatch
-    layer: a read issued while a blocker provably holds the single slot
-    is rejected, absorbed by the dispatcher's budget, and still returns
-    the right bytes."""
+    """The connection never retries, so §4.2 retrying is the dispatch
+    layer's alone: a read issued while a blocker provably holds the
+    single slot is rejected, absorbed by the dispatcher's budget, and
+    still returns the right bytes."""
     size = 16 * 1024
     with DPFSServer(tmp_path / "s", max_concurrent=1, io_delay_s=0.05) as server:
         victim_fs = DPFS(
-            RemoteBackend([server.address], busy_retries=0),
+            RemoteBackend([server.address]),
             io_workers=4,
             io_retries=500,
             io_backoff_s=0.001,
@@ -258,3 +265,26 @@ def test_dispatcher_budget_covers_busy_when_connection_does_not(tmp_path):
         assert server.requests_rejected > 0
         assert victim_fs.dispatcher.stats.retries == retries
         victim_fs.close()
+
+
+def test_rejected_write_makes_io_retries_plus_one_wire_attempts(tmp_path):
+    """The dispatcher is the only retry loop: against a server that
+    rejects every read and write, a write goes on the wire exactly
+    ``io_retries + 1`` times, and ``RetryExhausted`` names that count."""
+    with DPFSServer(tmp_path / "s", max_concurrent=0) as server:
+        fs = DPFS.remote([server.address], io_workers=1, io_retries=2)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(RetryExhausted) as excinfo:
+                fs.write_file(
+                    "/f", b"x" * 4096, hint=Hint.linear(file_size=4096)
+                )
+            elapsed = time.perf_counter() - start
+            assert server.requests_rejected == 3
+            assert "after 3 attempts" in str(excinfo.value)
+            assert isinstance(excinfo.value.__cause__, ServerBusyError)
+            assert fs.dispatcher.stats.retries == 2
+            # two dispatcher backoffs (2 ms, 4 ms) and nothing else sleeps
+            assert elapsed < 2.0
+        finally:
+            fs.close()

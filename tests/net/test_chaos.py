@@ -8,9 +8,10 @@ import time
 
 import pytest
 
-from repro.core import DPFS, Hint
+from repro.core import DPFS, Hint, fsck
 from repro.errors import ConnectionLost, TransportError
 from repro.net import ChaosProxy, DPFSServer, ServerConnection, ServerHealth
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ def test_proxy_passthrough(proxy):
 
 
 def test_drop_schedule_fails_one_connection(proxy):
-    conn = ServerConnection(*proxy.address, reconnect_attempts=0)
+    conn = ServerConnection(*proxy.address)
     conn.create("/f")
     proxy.sever_all()       # kill the idle socket…
     proxy.drop_next(times=1)  # …and drop the replacement connection
@@ -98,6 +99,36 @@ def test_truncate_mid_frame_is_transient_and_discards_socket(proxy):
     conn.close()
 
 
+def test_reconnect_counts_dials_made_while_not_up(proxy):
+    """``dpfs_net_reconnects_total`` counts a successful dial made while
+    the server is not UP; dials while it is UP (first socket, pool
+    growth) are not reconnects."""
+    conn = ServerConnection(*proxy.address, pool_size=2)
+    registry = MetricsRegistry()
+    conn.bind_metrics(registry, 0)
+    reconnects = registry.counter("dpfs_net_reconnects_total")
+    conn.create("/f")
+    # grow the pool to two sockets while UP
+    first, second = conn._checkout(), conn._checkout()
+    conn._checkin(first)
+    conn._checkin(second)
+    assert conn.health_snapshot()["open"] == 2
+    assert conn.health_snapshot()["reconnects"] == 0
+    assert reconnects.total() == 0
+
+    assert wait_until(lambda: proxy.live_connections() == 2)
+    proxy.sever_all()   # both idle sockets die: two failures, DEGRADED
+    for _ in range(2):
+        with pytest.raises(ConnectionLost):
+            conn.exists("/f")
+    assert conn.health is ServerHealth.DEGRADED
+    assert conn.exists("/f")   # one dial while DEGRADED, then UP
+    assert conn.health is ServerHealth.UP
+    assert conn.health_snapshot()["reconnects"] == 1
+    assert reconnects.total() == 1
+    conn.close()
+
+
 def test_sever_after_n_messages_kills_one_connection(proxy):
     conn = ServerConnection(*proxy.address, pool_size=1)
     # constructor ping relayed 2 frames on the live pipe; the next
@@ -108,6 +139,16 @@ def test_sever_after_n_messages_kills_one_connection(proxy):
     assert proxy.faults_fired["sever"] == 1
     assert wait_until(lambda: _recovers(conn, "/whatever"))
     conn.close()
+
+
+def test_proxy_stop_is_prompt(server):
+    """stop() wakes the accept loop instead of sitting out its join."""
+    proxy = ChaosProxy(server.address).start()
+    accept_thread = proxy._thread
+    start = time.perf_counter()
+    proxy.stop()
+    assert time.perf_counter() - start < 1.0
+    assert not accept_thread.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +212,6 @@ def test_server_killed_and_restarted_mid_workload(tmp_path):
         io_retries=200,
         io_backoff_s=0.01,
         down_after=2,
-        reconnect_attempts=1,
-        reconnect_backoff_s=0.005,
     )
     try:
         payload = bytes((i * 7) % 256 for i in range(size))
@@ -233,7 +272,6 @@ def test_background_probe_drives_down_to_up_without_traffic(tmp_path):
         pool_size=1,
         ping_interval_s=0.05,
         down_after=1,
-        reconnect_attempts=0,
     )
     conn = backend.connections[0]
     try:
@@ -252,3 +290,50 @@ def test_background_probe_drives_down_to_up_without_traffic(tmp_path):
         backend.close()
         proxy.stop()
         server.stop()
+
+
+# ---------------------------------------------------------------------------
+# lost replies to non-idempotent fan-out ops
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "wire_op, mutate",
+    [
+        ("rename", lambda fs: fs.rename("/f", "/g")),
+        ("delete", lambda fs: fs.remove("/f")),
+    ],
+    ids=["rename", "remove"],
+)
+def test_lost_reply_to_fanout_step_is_replayed(tmp_path, wire_op, mutate):
+    """The server applies a rename/delete but its reply is lost: the
+    dispatcher replays the whole fan-out step on a fresh socket, the
+    replay converges instead of failing on the already-applied change,
+    and the mutation completes with an empty journal and a clean fsck."""
+    size = 4 * 8192
+    data = bytes((3 * i) % 256 for i in range(size))
+    servers = [DPFSServer(tmp_path / f"srv{i}").start() for i in range(2)]
+    proxies = [ChaosProxy(s.address).start() for s in servers]
+    fs = DPFS.remote(
+        [p.address for p in proxies], pool_size=1, io_workers=1, io_retries=2
+    )
+    try:
+        fs.write_file(
+            "/f", data,
+            hint=Hint.linear(file_size=size, brick_size=8192, replicas=2),
+        )
+        retries = fs.dispatcher.stats.retries
+        proxies[0].lose_reply(wire_op)
+        mutate(fs)
+        assert proxies[0].faults_fired["sever"] == 1
+        assert fs.dispatcher.stats.retries == retries + 1
+        assert fs.intents.pending() == []
+        assert fsck(fs).clean
+        assert not fs.isfile("/f")
+        if wire_op == "rename":
+            assert fs.read_file("/g") == data
+    finally:
+        fs.close()
+        for p in proxies:
+            p.stop()
+        for s in servers:
+            s.stop()

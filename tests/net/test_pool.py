@@ -1,11 +1,9 @@
 """Per-server connection pool: lazy growth, same-server overlap on the
-wire, broken-socket discard, health bookkeeping, and the regressions of
-the fault-tolerance PR (unsynchronized retry counter, handler-thread
-death on connection reset)."""
+wire, broken-socket discard, health bookkeeping, and the handler-thread
+death on connection reset regression."""
 
 import socket
 import struct
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -85,25 +83,6 @@ def test_closed_pool_rejects_requests(server):
         conn.exists("/f")
 
 
-def test_retried_requests_counter_is_thread_safe(server):
-    """The old ``retried_requests += 1`` was an unsynchronized
-    read-modify-write shared by every dispatch-pool thread."""
-    conn = ServerConnection(*server.address)
-    n_threads, per_thread = 8, 2000
-
-    def bump():
-        for _ in range(per_thread):
-            conn._note_busy_retry()
-
-    threads = [threading.Thread(target=bump) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert conn.retried_requests == n_threads * per_thread
-    conn.close()
-
-
 def test_connection_reset_does_not_kill_handler_thread(tmp_path, capfd):
     """A mid-frame RST used to escape ``_Handler.handle`` as an OSError
     and socketserver printed a handler traceback; now the connection is
@@ -149,13 +128,13 @@ def test_dpfs_remote_constructor_threads_knobs(tmp_path):
         fs = DPFS.remote(
             [s0.address, s1.address],
             pool_size=2,
-            busy_retries=3,
+            timeout=7.0,
             down_after=5,
             io_workers=4,
         )
         conn = fs.backend.connections[0]
         assert conn.pool_size == 2
-        assert conn.busy_retries == 3
+        assert conn.timeout == 7.0
         assert conn.down_after == 5
         payload = bytes(range(256)) * 64
         fs.write_file(

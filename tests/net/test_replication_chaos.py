@@ -22,9 +22,7 @@ def cluster(tmp_path):
     fs = DPFS.remote(
         [p.address for p in proxies],
         timeout=5.0,
-        reconnect_attempts=0,
         down_after=1,
-        busy_retries=0,
         io_retries=1,
         io_backoff_s=0.001,
     )
