@@ -48,34 +48,31 @@ __all__ = ["DPFS"]
 DEFAULT_PERMISSION = 0o744
 
 # -- crash points ------------------------------------------------------------
-# One per step boundary of every journalled multi-step operation; the
-# systematic crash sweep (tests/core/test_crash_sweep.py) arms each of
-# these in turn and proves recovery restores an fsck/scrub-clean
-# namespace.  The ``mid_subfiles``/``mid_copy`` points sit *inside* the
-# per-server fan-out, after one server's work, so they model a crash
-# with the mutation half-applied across the cluster.  The ``in_commit``
-# points sit inside the commit transaction, between the metadata
-# mutation and the intent mark that shares its transaction: a crash
-# there means the transaction never became durable, so recovery must
-# see an unmarked commit step and roll back.
+# One per boundary that separates two different durable states of a
+# journalled multi-step operation; the systematic crash sweep
+# (tests/core/test_crash_sweep.py) arms each of these in turn and
+# proves recovery restores an fsck/scrub-clean namespace.  The
+# ``mid_subfiles``/``mid_copy`` points sit *inside* the per-server
+# fan-out, after one server's work, so they model a crash with the
+# mutation half-applied across the cluster.  The ``in_commit`` points
+# sit inside the commit transaction: a crash there means the
+# transaction never became durable, so recovery must see the operation
+# as never committed.  A boundary with no durable change between it and
+# its neighbour (or the operation's start or end) has no point: a crash
+# there leaves the same state as one at the neighbour.
 CP_CREATE_AFTER_INTENT = register("filesystem.create.after_intent")
 CP_CREATE_MID_SUBFILES = register("filesystem.create.mid_subfiles")
 CP_CREATE_AFTER_SUBFILES = register("filesystem.create.after_subfiles")
 CP_CREATE_IN_COMMIT = register("filesystem.create.in_commit")
-CP_CREATE_AFTER_METADATA = register("filesystem.create.after_metadata")
-CP_REMOVE_AFTER_INTENT = register("filesystem.remove.after_intent")
 CP_REMOVE_IN_COMMIT = register("filesystem.remove.in_commit")
 CP_REMOVE_AFTER_METADATA = register("filesystem.remove.after_metadata")
 CP_REMOVE_MID_SUBFILES = register("filesystem.remove.mid_subfiles")
 CP_REMOVE_AFTER_SUBFILES = register("filesystem.remove.after_subfiles")
-CP_RENAME_AFTER_INTENT = register("filesystem.rename.after_intent")
 CP_RENAME_IN_COMMIT = register("filesystem.rename.in_commit")
 CP_RENAME_AFTER_METADATA = register("filesystem.rename.after_metadata")
 CP_RENAME_MID_SUBFILES = register("filesystem.rename.mid_subfiles")
 CP_RENAME_AFTER_SUBFILES = register("filesystem.rename.after_subfiles")
-CP_GROW_AFTER_INTENT = register("filesystem.grow.after_intent")
 CP_GROW_IN_COMMIT = register("filesystem.grow.in_commit")
-CP_GROW_AFTER_METADATA = register("filesystem.grow.after_metadata")
 CP_REFILL_AFTER_INTENT = register("filesystem.refill.after_intent")
 CP_REFILL_MID_COPY = register("filesystem.refill.mid_copy")
 CP_REFILL_AFTER_COPY = register("filesystem.refill.after_copy")
@@ -340,44 +337,35 @@ class DPFS:
         """rm — journalled: drop metadata (the commit point), then delete
         every server's subfiles (replicas too).
 
-        The metadata drop and the intent's commit-step mark share one
-        SQL transaction; the subfile deletes fan out through the
-        dispatcher and run on *every* server even when some fail, so
-        one DOWN server no longer strands the rest.
-        Failures surface as one :class:`MultiServerError` and leave the
-        intent journalled for a later recovery sweep to finish.
+        The metadata drop and the intent that records it, already marked
+        committed, are one SQL transaction: before it nothing happened,
+        so no separate ``begin`` is needed.  The subfile deletes fan out
+        through the dispatcher and run on *every* server even when some
+        fail, so one DOWN server no longer strands the rest.  Failures
+        surface as one :class:`MultiServerError` and leave the intent
+        journalled for a later recovery sweep to finish.
         """
         norm = normalize_path(path)
-        if not self.meta.file_exists(norm):
-            raise FileNotFound(norm)
-        intent = self.intents.begin(
-            "remove",
-            {"path": norm},
-            steps=["remove-metadata", "delete-subfiles"],
-            commit_step="remove-metadata",
-        )
-        crashpoint(CP_REMOVE_AFTER_INTENT)
-        try:
-            # commit point: the metadata drop and the intent mark that
-            # records it are ONE transaction, so recovery can never see
-            # a committed remove whose commit step looks unreached
-            with self.db.transaction():
-                self.meta.remove_file(norm)
-                crashpoint(CP_REMOVE_IN_COMMIT)
-                self.intents.mark(intent, "remove-metadata")
-        except Exception:
-            self.intents.retire(intent)
-            raise
+        with self.db.transaction():
+            self.meta.remove_file(norm)
+            crashpoint(CP_REMOVE_IN_COMMIT)
+            intent = self.intents.begin(
+                "remove",
+                {"path": norm},
+                steps=["remove-metadata", "delete-subfiles"],
+                commit_step="remove-metadata",
+            )
+            self.intents.mark(intent, "remove-metadata")
         crashpoint(CP_REMOVE_AFTER_METADATA)
         self._forget_path(norm)
         self._redo_remove_subfiles(norm)   # raises MultiServerError, intent kept
         crashpoint(CP_REMOVE_AFTER_SUBFILES)
-        self.intents.mark(intent, "delete-subfiles")
         self.intents.retire(intent)
 
     def rename(self, old: str, new: str) -> None:
-        """mv — journalled: metadata re-key (the commit point), then
-        per-server subfile renames fanned out through the dispatcher.
+        """mv — journalled: metadata re-key (the commit point, journalled
+        in the same transaction, as in :meth:`remove`), then per-server
+        subfile renames fanned out through the dispatcher.
 
         Subfile renames are idempotent (skip a server that already
         holds the new name) and tolerate missing replica subfiles, so
@@ -388,31 +376,24 @@ class DPFS:
         new_norm = normalize_path(new)
         if old_norm == new_norm:
             return
-        replicated = False
-        if self.meta.file_exists(old_norm):
-            record, _ = self.meta.load_file(old_norm)
-            replicated = record.replicas > 1
-        intent = self.intents.begin(
-            "rename",
-            {"old": old_norm, "new": new_norm, "replicated": replicated},
-            steps=["rekey-metadata", "rename-subfiles"],
-            commit_step="rekey-metadata",
-        )
-        crashpoint(CP_RENAME_AFTER_INTENT)
-        try:
-            # commit point: metadata re-key + intent mark, atomically
-            with self.db.transaction():
-                self.meta.rename_file(old_norm, new_norm)
-                crashpoint(CP_RENAME_IN_COMMIT)
-                self.intents.mark(intent, "rekey-metadata")
-        except Exception:
-            self.intents.retire(intent)
-            raise
+        with self.db.transaction():
+            replicated = False
+            if self.meta.file_exists(old_norm):
+                record, _ = self.meta.load_file(old_norm)
+                replicated = record.replicas > 1
+            self.meta.rename_file(old_norm, new_norm)
+            crashpoint(CP_RENAME_IN_COMMIT)
+            intent = self.intents.begin(
+                "rename",
+                {"old": old_norm, "new": new_norm, "replicated": replicated},
+                steps=["rekey-metadata", "rename-subfiles"],
+                commit_step="rekey-metadata",
+            )
+            self.intents.mark(intent, "rekey-metadata")
         crashpoint(CP_RENAME_AFTER_METADATA)
         self._forget_path(old_norm)
         self._redo_rename_subfiles(old_norm, new_norm, replicated)
         crashpoint(CP_RENAME_AFTER_SUBFILES)
-        self.intents.mark(intent, "rename-subfiles")
         self.intents.retire(intent)
 
     # -- journalled per-server fan-out (shared with crash recovery) ------------
@@ -500,8 +481,9 @@ class DPFS:
 
         Journalled with an empty commit step, i.e. *always* rolled
         forward: re-running a refill from scratch is idempotent and the
-        only useful recovery.  Returns False (keeping the intent
-        pending for the next sweep) when a server is unreachable.
+        only useful recovery, so no step is ever marked.  Returns False
+        (keeping the intent pending for the next sweep) when a server is
+        unreachable.
         """
         intent = self.intents.begin(
             "refill",
@@ -517,7 +499,6 @@ class DPFS:
         except (DPFSError, OSError):
             return False
         crashpoint(CP_REFILL_AFTER_COPY)
-        self.intents.mark(intent, "copy-bricks")
         self.intents.retire(intent)
         return True
 
@@ -567,20 +548,13 @@ class DPFS:
         return self.meta.tree_usage(path)
 
     def df(self) -> list[dict[str, Any]]:
-        """Per-server capacity report: the DPFS-SERVER table plus the
-        physical bytes each server's bricks occupy."""
-        usage = self.meta.server_usage()
-        report = []
-        for row in self.meta.servers():
-            used = usage.get(row["server_id"], 0)
-            report.append(
-                {
-                    **row,
-                    "used": used,
-                    "available": max(row["capacity"] - used, 0),
-                }
-            )
-        return report
+        """Per-server capacity report: the DPFS-SERVER table (whose
+        ``used`` is the physical bytes each server's bricks occupy) plus
+        the bytes still ``available``."""
+        return [
+            {**row, "available": max(row["capacity"] - row["used"], 0)}
+            for row in self.meta.servers()
+        ]
 
     def servers(self) -> list[dict[str, Any]]:
         """The DPFS-SERVER table contents."""
@@ -723,8 +697,8 @@ class DPFS:
         replicated = hint.replicas > 1
         # journalled create: subfiles first, metadata commit last — a
         # crash before the commit leaves only orphan subfiles, which
-        # roll-back deletes; after it, roll-forward re-creates any
-        # subfile the crash skipped (idempotent).
+        # roll-back deletes.  The commit transaction retires the intent
+        # too: after it nothing is left to do.
         intent = self.intents.begin(
             "create",
             {"path": norm, "replicated": replicated},
@@ -734,15 +708,14 @@ class DPFS:
         crashpoint(CP_CREATE_AFTER_INTENT)
         try:
             self._redo_create_subfiles(norm, replicated)
-            self.intents.mark(intent, "create-subfiles")
             crashpoint(CP_CREATE_AFTER_SUBFILES)
-            # commit point: metadata insert + intent mark, atomically
+            # commit point: metadata insert + intent retirement, atomically
             with self.db.transaction():
                 self.meta.create_file(
                     record, brick_map, self._server_names, replica_map
                 )
                 crashpoint(CP_CREATE_IN_COMMIT)
-                self.intents.mark(intent, "write-metadata")
+                self.intents.retire(intent)
         except Exception:
             # undo whatever subfiles landed; if even that fails, the
             # intent stays journalled and the next sweep rolls it back.
@@ -756,8 +729,6 @@ class DPFS:
             except Exception:  # noqa: BLE001 - recovery owns the rest
                 pass
             raise
-        crashpoint(CP_CREATE_AFTER_METADATA)
-        self.intents.retire(intent)
         return record, brick_map, replica_map
 
     def _check_capacity(
@@ -813,36 +784,20 @@ class DPFS:
                     )
             record.brick_sizes = [striping.brick_size] * len(handle.brick_map)
             record.pad_crcs()
-            # journalled grow: every metadata effect (geometry,
-            # distribution, replica map, size) is ONE transaction — the
-            # commit point.  No storage-side step exists: new bricks
-            # materialise lazily on first write, so before the commit
-            # nothing happened and after it nothing is left to do.
-            intent = self.intents.begin(
-                "grow",
-                {"path": record.path, "new_size": new_size},
-                steps=["update-metadata"],
-                commit_step="update-metadata",
-            )
-            crashpoint(CP_GROW_AFTER_INTENT)
-            try:
-                # commit point: metadata growth + intent mark, atomically
-                with self.db.transaction():
-                    self.meta.grow_file(
-                        record.path,
-                        handle.brick_map,
-                        record.brick_sizes,
-                        self._server_names,
-                        replica_map if record.replicas > 1 else None,
-                        new_size,
-                    )
-                    crashpoint(CP_GROW_IN_COMMIT)
-                    self.intents.mark(intent, "update-metadata")
-            except Exception:
-                self.intents.retire(intent)
-                raise
-            crashpoint(CP_GROW_AFTER_METADATA)
-            self.intents.retire(intent)
+            # grow is ONE transaction (geometry, distribution, replica
+            # map, size, usage) and no intent: new bricks materialise
+            # lazily on first write, so before the commit nothing
+            # happened and after it nothing is left to do.
+            with self.db.transaction():
+                self.meta.grow_file(
+                    record.path,
+                    handle.brick_map,
+                    record.brick_sizes,
+                    self._server_names,
+                    replica_map if record.replicas > 1 else None,
+                    new_size,
+                )
+                crashpoint(CP_GROW_IN_COMMIT)
         else:
             # no new bricks: the size update is a single (atomic) statement
             self.meta.update_file_size(record.path, new_size)

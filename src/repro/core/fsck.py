@@ -25,6 +25,9 @@ repairs) drift between them:
                        (repair: unlink)
 ``unlinked-file``      a file has attr rows but no directory entry
                        (repair: link into its parent, creating parents)
+``usage-drift``        a server's ``used`` counter in ``dpfs_server``
+                       disagrees with the sum of its bricks over every
+                       bricklist (repair: rewrite the counters)
 =====================  =====================================================
 
 With ``deep=True`` (the default) fsck additionally runs the scrubber's
@@ -45,11 +48,45 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..errors import DPFSError
+from .metadata import _BRICK_SIZES_OF
 
 if TYPE_CHECKING:  # pragma: no cover
     from .filesystem import DPFS
+    from .metadata import MetadataManager
 
-__all__ = ["Finding", "FsckReport", "fsck"]
+__all__ = ["Finding", "FsckReport", "fsck", "rewrite_usage", "usage_oracle"]
+
+# Every server's bytes summed over every distribution and replica
+# bricklist: the oracle for the ``used`` counters.  It reads the whole
+# namespace, so only fsck (and the one-time fill of a root written
+# before the counters existed) runs it.
+_SERVER_USAGE_SQL = (
+    "SELECT server_name, SUM(size) AS used FROM ("
+    + _BRICK_SIZES_OF.format("dpfs_file_distribution")
+    + " UNION ALL "
+    + _BRICK_SIZES_OF.format("dpfs_file_replica")
+    + ") GROUP BY server_name"
+)
+
+
+def usage_oracle(meta: "MetadataManager") -> dict[int, int]:
+    """Physical bytes each server holds, recounted from the bricklists."""
+    order = {row["server_name"]: row["server_id"] for row in meta.servers()}
+    usage = dict.fromkeys(order.values(), 0)
+    for row in meta.db.execute(_SERVER_USAGE_SQL).rows:
+        if row["server_name"] in order:
+            usage[order[row["server_name"]]] = row["used"]
+    return usage
+
+
+def rewrite_usage(meta: "MetadataManager", usage: dict[int, int]) -> None:
+    """Set the servers' ``used`` counters (``usage``: server id → bytes)."""
+    with meta.db.transaction():
+        for server_id, used in usage.items():
+            meta.db.execute(
+                "UPDATE dpfs_server SET used = ? WHERE server_id = ?",
+                [used, server_id],
+            )
 
 
 @dataclass(frozen=True)
@@ -272,7 +309,25 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                 )
             )
 
-    # -- pass 3: orphan subfiles on the servers --------------------------------
+    # -- pass 3: usage counters ↔ bricklists ---------------------------------
+    oracle = usage_oracle(meta)
+    drifted = [
+        row for row in meta.servers() if row["used"] != oracle[row["server_id"]]
+    ]
+    if drifted and repair:
+        rewrite_usage(meta, oracle)
+    for row in drifted:
+        report.findings.append(
+            Finding(
+                "usage-drift",
+                row["server_name"],
+                f"counter says {row['used']} bytes used, its bricks hold "
+                f"{oracle[row['server_id']]}",
+                repair,
+            )
+        )
+
+    # -- pass 4: orphan subfiles on the servers --------------------------------
     for server in range(backend.n_servers):
         for name in backend.list_subfiles(server):
             if name not in referenced:

@@ -8,13 +8,14 @@ commit and the last subfile operation leaves the two sources of truth
 disagreeing (orphan subfiles, data stranded under an old name, ...).
 
 This module supplies the standard cure: **write-ahead intents**.
-Before its first side effect, an operation records an intent row in the
-``dpfs_intent`` metadata table — the operation name, its arguments, the
-ordered list of idempotent steps it will take, and which step is the
-*commit point*.  Steps are marked off as they complete; the row is
-retired when the operation finishes.  After a crash the journal names
-exactly which operations were in flight, and the recovery engine
-(:func:`recover`) applies one rule:
+No later than its first side effect, an operation records an intent row
+in the ``dpfs_intent`` metadata table — the operation name, its
+arguments, the ordered list of idempotent steps it will take, and which
+step is the *commit point*.  Only the commit step is ever marked, and
+only inside the transaction that commits it; the row is retired when
+the operation finishes.  After a crash the journal names exactly which
+operations were in flight, and the recovery engine (:func:`recover`)
+applies one rule:
 
     *If the commit step completed, roll the intent forward (re-execute
     every remaining step — all steps are idempotent, so re-executing
@@ -113,21 +114,18 @@ class IntentLog:
         steps: list[str],
         commit_step: str,
     ) -> Intent:
-        """Persist a new intent *before* the operation's first side effect."""
+        """Persist a new intent before, or in the same transaction as,
+        the operation's first side effect."""
         if commit_step and commit_step not in steps:
             raise IntentError(
                 f"commit step {commit_step!r} not among steps {steps}"
             )
         with self.db.transaction():
-            existing = [
-                row["intent_id"]
-                for row in self.db.execute(
-                    "SELECT intent_id FROM dpfs_intent"
-                ).rows
-            ]
-            seq = 1 + max(
-                (int(i[1:]) for i in existing if i[1:].isdigit()), default=0
-            )
+            # ids are zero-padded, so the largest sorts last in the key
+            last = self.db.execute(
+                "SELECT MAX(intent_id) FROM dpfs_intent"
+            ).scalar()
+            seq = 1 + (int(last[1:]) if last else 0)
             intent = Intent(
                 intent_id=f"i{seq:08d}",
                 op=op,
@@ -152,7 +150,8 @@ class IntentLog:
         return intent
 
     def mark(self, intent: Intent, step: str) -> None:
-        """Record one completed step (single-statement, hence atomic)."""
+        """Record one completed step (single-statement, hence atomic);
+        operations mark only their commit step, inside its transaction."""
         if step not in intent.steps:
             raise IntentError(
                 f"step {step!r} not among {intent.op} steps {intent.steps}"
@@ -249,6 +248,8 @@ class RecoveryReport:
 
 
 def _forward_create(fs: "DPFS", args: dict[str, Any]) -> None:
+    # a create retires its intent in its commit transaction, so only an
+    # older build's journal can hold a committed create
     fs._redo_create_subfiles(args["path"], bool(args.get("replicated")))
 
 
@@ -271,13 +272,6 @@ def _forward_rename(fs: "DPFS", args: dict[str, Any]) -> None:
     )
 
 
-def _forward_grow(fs: "DPFS", args: dict[str, Any]) -> None:
-    # grow is a single metadata transaction (its commit step); once that
-    # committed there is no storage-side work — bricks materialise
-    # lazily on first write — and before it nothing happened at all.
-    return None
-
-
 def _forward_refill(fs: "DPFS", args: dict[str, Any]) -> None:
     server = args.get("server")
     fs._redo_refill_replicas(
@@ -293,7 +287,9 @@ _FORWARD: dict[str, Callable[["DPFS", dict[str, Any]], None]] = {
     "create": _forward_create,
     "remove": _forward_remove,
     "rename": _forward_rename,
-    "grow": _forward_grow,
+    # grow is one metadata transaction and journals nothing; an older
+    # build's pending grow intent has nothing left to do either way
+    "grow": _noop,
     "refill": _forward_refill,
 }
 

@@ -7,7 +7,12 @@ paper's names become underscores — SQL identifiers):
 
 ``dpfs_server``
     server_id, server_name, capacity, performance — the I/O node
-    registry the greedy placement algorithm reads.
+    registry the greedy placement algorithm reads — plus ``used``, the
+    physical bytes of every brick (replica copies in full) the server
+    holds.  ``create_file``, ``grow_file`` and ``remove_file`` add or
+    subtract the file's own per-server bytes inside their transactions,
+    so reading a server's usage costs one row, whatever the namespace
+    size; ``fsck`` recounts it from the bricklists (``usage-drift``).
 ``dpfs_file_distribution``
     server_name, filename, bricklist (JSON) — how each file's bricks
     are spread over subfiles.
@@ -121,12 +126,11 @@ _BRICK_SIZES_OF = (
     " FROM {} AS d CROSS JOIN json_each(d.bricklist) AS b"
     " CROSS JOIN dpfs_file_attr AS a WHERE a.filename = d.filename"
 )
-_SERVER_USAGE_SQL = (
-    "SELECT server_name, SUM(size) AS used FROM ("
-    + _BRICK_SIZES_OF.format("dpfs_file_distribution")
-    + " UNION ALL "
-    + _BRICK_SIZES_OF.format("dpfs_file_replica")
-    + ") GROUP BY server_name"
+# The same rows for one file: what its bricks add to each server's
+# ``used`` counter.  Index lookups plus one walk of its bricklists.
+_FILE_BRICK_SIZES_SQL = " UNION ALL ".join(
+    _BRICK_SIZES_OF.format(table) + " AND d.filename = ?"
+    for table in ("dpfs_file_distribution", "dpfs_file_replica")
 )
 
 
@@ -146,7 +150,8 @@ class MetadataManager:
             " server_id INTEGER PRIMARY KEY,"
             " server_name TEXT NOT NULL UNIQUE,"
             " capacity INTEGER NOT NULL,"
-            " performance REAL NOT NULL)"
+            " performance REAL NOT NULL,"
+            " used INTEGER NOT NULL DEFAULT 0)"
         )
         self.db.execute(
             "CREATE TABLE IF NOT EXISTS dpfs_file_distribution ("
@@ -192,6 +197,18 @@ class MetadataManager:
                 "INSERT INTO dpfs_directory VALUES ('/', ?, ?)",
                 [[], []],
             )
+        columns = self.db.execute("PRAGMA table_info(dpfs_server)").rows
+        if "used" not in {column["name"] for column in columns}:
+            # a root written before the counter existed: add it and
+            # fill it once from the bricklists
+            from .fsck import rewrite_usage, usage_oracle
+
+            with self.db.transaction():
+                self.db.execute(
+                    "ALTER TABLE dpfs_server"
+                    " ADD COLUMN used INTEGER NOT NULL DEFAULT 0"
+                )
+                rewrite_usage(self, usage_oracle(self))
 
     def register_servers(self, infos: list[Any]) -> None:
         """Record the backend's servers in dpfs_server (idempotent)."""
@@ -209,13 +226,14 @@ class MetadataManager:
                     )
                 else:
                     self.db.execute(
-                        "INSERT INTO dpfs_server VALUES (?, ?, ?, ?)",
+                        "INSERT INTO dpfs_server (server_id, server_name,"
+                        " capacity, performance) VALUES (?, ?, ?, ?)",
                         [idx, info.name, info.capacity, info.performance],
                     )
 
     def servers(self) -> list[dict[str, Any]]:
         return self.db.execute(
-            "SELECT server_id, server_name, capacity, performance "
+            "SELECT server_id, server_name, capacity, performance, used "
             "FROM dpfs_server ORDER BY server_id"
         ).rows
 
@@ -360,29 +378,8 @@ class MetadataManager:
                     record.placement,
                 ],
             )
-            for server, bricklist in enumerate(brick_map.to_lists()):
-                self.db.execute(
-                    "INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?)",
-                    [
-                        f"{server_names[server]}|{norm}",
-                        server_names[server],
-                        norm,
-                        bricklist,
-                    ],
-                )
-            if replica_map is not None:
-                for server, bricklist in enumerate(replica_map.to_lists()):
-                    if not bricklist:
-                        continue
-                    self.db.execute(
-                        "INSERT INTO dpfs_file_replica VALUES (?, ?, ?, ?)",
-                        [
-                            f"{server_names[server]}|{norm}",
-                            server_names[server],
-                            norm,
-                            bricklist,
-                        ],
-                    )
+            self._write_bricklists(norm, brick_map, replica_map, server_names)
+            self._charge_usage(norm, 1)
 
     def load_file(self, path: str) -> tuple[FileRecord, BrickMap]:
         norm = normalize_path(path)
@@ -450,38 +447,6 @@ class MetadataManager:
             bricklists[server_id] = list(row["bricklist"])
         return ReplicaMap.build(len(order), bricklists, record.brick_sizes)
 
-    def update_replica_map(
-        self, path: str, replica_map: ReplicaMap, server_names: list[str]
-    ) -> None:
-        """Rewrite replica bricklists after a replicated file grew."""
-        norm = normalize_path(path)
-        with self.db.transaction():
-            self._upsert_replica_rows(norm, replica_map, server_names)
-
-    def _upsert_replica_rows(
-        self, norm: str, replica_map: ReplicaMap, server_names: list[str]
-    ) -> None:
-        """Write replica bricklist rows (caller holds the transaction)."""
-        for server, bricklist in enumerate(replica_map.to_lists()):
-            if not bricklist:
-                continue
-            dist_id = f"{server_names[server]}|{norm}"
-            existing = self.db.execute(
-                "SELECT dist_id FROM dpfs_file_replica WHERE dist_id = ?",
-                [dist_id],
-            ).rows
-            if existing:
-                self.db.execute(
-                    "UPDATE dpfs_file_replica SET bricklist = ? "
-                    "WHERE dist_id = ?",
-                    [bricklist, dist_id],
-                )
-            else:
-                self.db.execute(
-                    "INSERT INTO dpfs_file_replica VALUES (?, ?, ?, ?)",
-                    [dist_id, server_names[server], norm, bricklist],
-                )
-
     def update_brick_crcs(
         self,
         path: str,
@@ -548,16 +513,6 @@ class MetadataManager:
             [size, normalize_path(path)],
         )
 
-    def update_distribution(
-        self, path: str, brick_map: BrickMap, brick_sizes: list[int],
-        server_names: list[str],
-    ) -> None:
-        """Rewrite bricklists + geometry after a file grew (linear level)."""
-        norm = normalize_path(path)
-        with self.db.transaction():
-            self._grow_geometry(norm, brick_sizes)
-            self._upsert_distribution_rows(norm, brick_map, server_names)
-
     def _grow_geometry(self, norm: str, brick_sizes: list[int]) -> None:
         """Extend geometry's brick_sizes/brick_crcs (caller holds txn)."""
         rows = self.db.execute(
@@ -578,28 +533,33 @@ class MetadataManager:
             [geometry, norm],
         )
 
-    def _upsert_distribution_rows(
-        self, norm: str, brick_map: BrickMap, server_names: list[str]
+    def _write_bricklists(
+        self,
+        norm: str,
+        brick_map: BrickMap,
+        replica_map: ReplicaMap | None,
+        server_names: list[str],
     ) -> None:
-        """Write distribution bricklist rows (caller holds the transaction)."""
-        for server, bricklist in enumerate(brick_map.to_lists()):
-            dist_id = f"{server_names[server]}|{norm}"
-            existing = self.db.execute(
-                "SELECT dist_id FROM dpfs_file_distribution "
-                "WHERE dist_id = ?",
-                [dist_id],
-            ).rows
-            if existing:
-                self.db.execute(
-                    "UPDATE dpfs_file_distribution SET bricklist = ? "
-                    "WHERE dist_id = ?",
-                    [bricklist, dist_id],
-                )
-            else:
-                self.db.execute(
-                    "INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?)",
-                    [dist_id, server_names[server], norm, bricklist],
-                )
+        """Insert or replace a file's bricklist rows: one distribution
+        row per server, one replica row per server holding replica
+        bricks (caller holds the transaction)."""
+        tables = [("dpfs_file_distribution", brick_map.to_lists())]
+        if replica_map is not None:
+            tables.append(("dpfs_file_replica", replica_map.to_lists()))
+        for table, lists in tables:
+            for server, bricklist in enumerate(lists):
+                if bricklist or table == "dpfs_file_distribution":
+                    self.db.execute(
+                        f"INSERT INTO {table} VALUES (?, ?, ?, ?)"
+                        " ON CONFLICT (dist_id)"
+                        " DO UPDATE SET bricklist = excluded.bricklist",
+                        [
+                            f"{server_names[server]}|{norm}",
+                            server_names[server],
+                            norm,
+                            bricklist,
+                        ],
+                    )
 
     def grow_file(
         self,
@@ -610,23 +570,36 @@ class MetadataManager:
         replica_map: ReplicaMap | None,
         new_size: int,
     ) -> None:
-        """Every metadata effect of growing a linear file, atomically.
+        """Every metadata effect of growing a linear file, atomically:
+        geometry, bricklists, size and the servers' ``used`` counters.
 
-        Historically growth issued three separate transactions
-        (distribution, replica map, size) — a crash between them left
-        the attr row disagreeing with the bricklists.  One transaction
-        makes grow's metadata step all-or-nothing, which is what lets
-        the grow intent treat it as its commit point.
+        One transaction makes growth all-or-nothing, which is why grow
+        needs no intent: new bricks materialise lazily on first write,
+        so before the commit nothing happened and after it nothing is
+        left to do.
         """
         norm = normalize_path(path)
         with self.db.transaction():
+            self._charge_usage(norm, -1)
             self._grow_geometry(norm, brick_sizes)
-            self._upsert_distribution_rows(norm, brick_map, server_names)
-            if replica_map is not None:
-                self._upsert_replica_rows(norm, replica_map, server_names)
+            self._write_bricklists(norm, brick_map, replica_map, server_names)
             self.db.execute(
                 "UPDATE dpfs_file_attr SET size = ? WHERE filename = ?",
                 [new_size, norm],
+            )
+            self._charge_usage(norm, 1)
+
+    def _charge_usage(self, norm: str, sign: int) -> None:
+        """Add (``sign=1``) or subtract (``-1``) one file's bricks to or
+        from each server's ``used`` counter (caller holds the txn)."""
+        by_server: dict[str, int] = {}
+        for row in self.db.execute(_FILE_BRICK_SIZES_SQL, [norm, norm]).rows:
+            name = row["server_name"]
+            by_server[name] = by_server.get(name, 0) + (row["size"] or 0)
+        for name, nbytes in by_server.items():
+            self.db.execute(
+                "UPDATE dpfs_server SET used = used + ? WHERE server_name = ?",
+                [sign * nbytes, name],
             )
 
     def remove_file(self, path: str) -> None:
@@ -635,6 +608,7 @@ class MetadataManager:
         with self.db.transaction():
             if not self.file_exists(norm):
                 raise FileNotFound(norm)
+            self._charge_usage(norm, -1)
             parent_row = self._dir_row(parent)
             if parent_row is not None:
                 files = [f for f in parent_row["files"] if f != base]
@@ -740,13 +714,8 @@ class MetadataManager:
         return total
 
     def server_usage(self) -> dict[int, int]:
-        """Physical bytes each server holds (sum of its bricks' sizes)."""
-        order = {row["server_name"]: row["server_id"] for row in self.servers()}
-        usage = {server_id: 0 for server_id in order.values()}
-        for row in self.db.execute(_SERVER_USAGE_SQL).rows:
-            if row["server_name"] in order:
-                usage[order[row["server_name"]]] = row["used"]
-        return usage
+        """Physical bytes each server holds: its ``used`` counter."""
+        return {row["server_id"]: row["used"] for row in self.servers()}
 
     def set_permission(self, path: str, permission: int) -> None:
         norm = normalize_path(path)

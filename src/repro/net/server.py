@@ -180,6 +180,12 @@ class DPFSServer:
         return self
 
     def stop(self) -> None:
+        try:
+            # wakes serve_forever's select() at once instead of at its
+            # next 0.5 s poll, so shutdown() below returns promptly
+            self._tcp.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._tcp.shutdown()
         self._tcp.server_close()
         if self._thread is not None:

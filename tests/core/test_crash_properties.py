@@ -11,6 +11,7 @@ import pytest
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint, fsck, scrub
 from repro.core.crashpoints import SimulatedCrash, arm, disarm, registered
+from repro.core.fsck import usage_oracle
 from repro.metadb import Database
 
 BRICK = 256
@@ -62,6 +63,7 @@ def test_any_crash_prefix_recovers_to_old_or_new(scenario):
     assert fs2.last_recovery is not None
     assert fs2.last_recovery.clean, str(fs2.last_recovery)
     assert fs2.intents.pending() == []
+    assert fs2.meta.server_usage() == usage_oracle(fs2.meta)
     freport = fsck(fs2)
     assert freport.clean, str(freport)
     sreport = scrub(fs2)

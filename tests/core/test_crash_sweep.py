@@ -9,6 +9,8 @@ same backend + metadata database.  Mount-time recovery must leave:
 - an empty intent journal,
 - a clean ``fsck`` (no orphan subfiles, no dangling metadata),
 - a clean ``scrub`` (no torn or diverged data),
+- per-server usage counters equal to the bricklists' sum (the fsck
+  oracle),
 - the file in exactly its old or its new state — never torn.
 
 Writes are not journalled: a crash between a write's data landing and
@@ -33,6 +35,7 @@ from repro.core.crashpoints import (
     disarm,
     registered,
 )
+from repro.core.fsck import usage_oracle
 from repro.metadb import Database
 
 BRICK = 512
@@ -182,20 +185,15 @@ SWEEP = [
     ("create", "filesystem.create.mid_subfiles"),
     ("create", "filesystem.create.after_subfiles"),
     ("create", "filesystem.create.in_commit"),
-    ("create", "filesystem.create.after_metadata"),
-    ("remove", "filesystem.remove.after_intent"),
     ("remove", "filesystem.remove.in_commit"),
     ("remove", "filesystem.remove.after_metadata"),
     ("remove", "filesystem.remove.mid_subfiles"),
     ("remove", "filesystem.remove.after_subfiles"),
-    ("rename", "filesystem.rename.after_intent"),
     ("rename", "filesystem.rename.in_commit"),
     ("rename", "filesystem.rename.after_metadata"),
     ("rename", "filesystem.rename.mid_subfiles"),
     ("rename", "filesystem.rename.after_subfiles"),
-    ("grow", "filesystem.grow.after_intent"),
     ("grow", "filesystem.grow.in_commit"),
-    ("grow", "filesystem.grow.after_metadata"),
     ("refill", "filesystem.refill.after_intent"),
     ("refill", "filesystem.refill.mid_copy"),
     ("refill", "filesystem.refill.after_copy"),
@@ -232,6 +230,7 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
         assert sreport.findings, str(sreport)
         assert {f.kind for f in sreport.findings} == {"stale-checksum"}
         assert not scrub(fs2, repair=True).unrepaired
+    assert fs2.meta.server_usage() == usage_oracle(fs2.meta)
     freport = fsck(fs2)
     assert freport.clean, str(freport)
     sreport = scrub(fs2)
@@ -241,11 +240,12 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
 
 def test_commit_step_mark_is_atomic_with_the_commit():
     """The journal can never disagree with metadata about whether the
-    commit point was reached: the metadata commit and the intent's
-    commit-step mark share one transaction.  (Regression: a crash
-    between a committed rename and a separate mark statement used to
-    leave done=[] — recovery then 'rolled back' a committed rename and
-    stranded the data under the old subfile names.)"""
+    commit point was reached: a rename journals its intent, already
+    marked committed, inside the transaction that re-keys the metadata.
+    (Regression: a crash between a committed rename and a separate mark
+    statement used to leave done=[] — recovery then 'rolled back' a
+    committed rename and stranded the data under the old subfile
+    names.)"""
     db = Database()
     backend = MemoryBackend(4)
     fs = _mount(backend, db, auto_recover=False)
@@ -253,20 +253,18 @@ def test_commit_step_mark_is_atomic_with_the_commit():
     fs.write_file("/d/f", DATA, lhint(len(DATA)))
 
     # crash inside the commit transaction: neither the re-key nor the
-    # mark became durable
+    # intent became durable
     arm("filesystem.rename.in_commit")
     try:
         with pytest.raises(SimulatedCrash):
             fs.rename("/d/f", "/d/g")
     finally:
         disarm()
-    (intent,) = fs.intents.pending()
-    assert intent.done == []
+    assert fs.intents.pending() == []
     assert fs.exists("/d/f") and not fs.exists("/d/g")
-    fs.intents.retire(intent)
 
-    # crash right after the commit transaction: the re-key and the mark
-    # are both durable, so recovery must roll forward
+    # crash right after the commit transaction: the re-key and the
+    # marked intent are both durable, so recovery must roll forward
     arm("filesystem.rename.after_metadata")
     try:
         with pytest.raises(SimulatedCrash):
@@ -274,7 +272,7 @@ def test_commit_step_mark_is_atomic_with_the_commit():
     finally:
         disarm()
     (intent,) = fs.intents.pending()
-    assert "rekey-metadata" in intent.done
+    assert intent.done == ["rekey-metadata"]
     assert fs.exists("/d/g") and not fs.exists("/d/f")
     assert fs.recover().clean
     assert fs.read_file("/d/g") == DATA
@@ -353,25 +351,25 @@ def test_arming_unknown_point_rejected():
 
 
 def test_crashpoint_fires_once_then_disarms():
-    arm("filesystem.remove.after_intent")
+    arm("filesystem.remove.after_metadata")
     try:
         with pytest.raises(SimulatedCrash):
-            crashpoint("filesystem.remove.after_intent")
+            crashpoint("filesystem.remove.after_metadata")
         assert armed_name() is None
-        crashpoint("filesystem.remove.after_intent")  # no-op now
+        crashpoint("filesystem.remove.after_metadata")  # no-op now
     finally:
         disarm()
 
 
 def test_armed_context_manager_disarms_on_exit():
-    with armed("filesystem.remove.after_intent"):
-        assert armed_name() == "filesystem.remove.after_intent"
+    with armed("filesystem.remove.after_metadata"):
+        assert armed_name() == "filesystem.remove.after_metadata"
     assert armed_name() is None
 
 
 def test_unarmed_crashpoint_is_noop():
     assert armed_name() is None
-    crashpoint("filesystem.remove.after_intent")
+    crashpoint("filesystem.remove.after_metadata")
 
 
 def test_simulated_crash_is_not_an_exception():

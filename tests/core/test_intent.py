@@ -226,17 +226,16 @@ def test_create_loser_keeps_winners_subfiles():
 
     # interleave: right after the loser creates its subfiles (and
     # before its metadata commit), the winner commits the same path
-    real_mark = fs.intents.mark
+    real_create_subfiles = fs._redo_create_subfiles
 
-    def mark_then_lose_race(intent, step):
-        real_mark(intent, step)
-        if step == "create-subfiles":
-            winner.write_file("/d/f", payload, lhint(BRICK))
+    def create_subfiles_then_lose_race(norm, replicated):
+        real_create_subfiles(norm, replicated)
+        winner.write_file("/d/f", payload, lhint(BRICK))
 
-    fs.intents.mark = mark_then_lose_race
+    fs._redo_create_subfiles = create_subfiles_then_lose_race
     with pytest.raises(FileExists):
         fs.write_file("/d/f", b"l" * BRICK, lhint(BRICK))
-    fs.intents.mark = real_mark
+    del fs._redo_create_subfiles
 
     # the winner's file survives, subfiles intact, no intent debris
     assert fs.read_file("/d/f") == payload
@@ -280,4 +279,23 @@ def test_rename_tolerates_missing_replica_subfiles():
     fs.rename("/plain", "/moved")
     assert fs.read_file("/moved") == data
     assert fs.intents.pending() == []
+    assert fsck(fs).clean
+
+
+def test_older_builds_pending_grow_intent_still_retires():
+    """grow journals nothing now, but a pending ``grow`` intent left by
+    an older build — committed or not — must still retire cleanly."""
+    fs = DPFS.memory(n_servers=2, auto_recover=False)
+    fs.write_file("/f", b"g" * BRICK, lhint(BRICK))
+    steps = ["update-metadata"]
+    fs.intents.begin("grow", {"path": "/f", "new_size": 2 * BRICK}, steps, steps[0])
+    committed = fs.intents.begin(
+        "grow", {"path": "/f", "new_size": 2 * BRICK}, steps, steps[0]
+    )
+    fs.intents.mark(committed, steps[0])
+    report = fs.recover()
+    assert report.clean
+    assert sorted(a.direction for a in report.actions) == ["back", "forward"]
+    assert fs.intents.pending() == []
+    assert fs.read_file("/f") == b"g" * BRICK
     assert fsck(fs).clean

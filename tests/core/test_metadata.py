@@ -206,7 +206,7 @@ def test_update_file_size(meta):
 def test_update_distribution_after_growth(meta):
     meta.create_file(_record("/f", n_bricks=3), _bmap(3), _names(meta))
     grown = _bmap(9)
-    meta.update_distribution("/f", grown, [100] * 9, _names(meta))
+    meta.grow_file("/f", grown, [100] * 9, _names(meta), None, 900)
     record, loaded = meta.load_file("/f")
     assert len(record.brick_sizes) == 9
     assert loaded.to_lists() == grown.to_lists()

@@ -1,6 +1,7 @@
 """Integration tests for the real TCP server/client transport (§2)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def test_connection_survives_error(conn):
         conn.size("/missing")
     conn.create("/ok")
     assert conn.exists("/ok")
+
+
+def test_stop_is_prompt(tmp_path):
+    """stop() wakes the accept loop instead of waiting out its poll."""
+    server = DPFSServer(tmp_path / "srv").start()
+    conn = ServerConnection(*server.address)
+    conn.create("/f")
+    time.sleep(0.05)  # the loop is back in select() by now
+    start = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - start < 0.1
+    conn.close()
+    with pytest.raises(TransportError):
+        ServerConnection(*server.address)
 
 
 def test_connect_refused_raises_transport_error():
