@@ -74,6 +74,24 @@ def test_flood_triggers_rejection_and_retry(busy_server):
     assert sum(retried) > 0
 
 
+def test_retries_exhausted_surface_as_server_error(tmp_path):
+    """Against a server that rejects every read and write, a connection
+    has no retries of its own to spend: each request is rejected once
+    and the rejection surfaces as a ServerError naming ServerBusy."""
+    with DPFSServer(tmp_path / "s", max_concurrent=0) as server:
+        conn = ServerConnection(*server.address)
+        conn.create("/v")
+        with pytest.raises(ServerError) as excinfo:
+            conn.write("/v", [(0, 4)], b"abcd")
+        assert "ServerBusy" in str(excinfo.value)
+        assert server.requests_rejected == 1
+        with pytest.raises(ServerError) as excinfo:
+            conn.read("/v", [(0, 4)])
+        assert "ServerBusy" in str(excinfo.value)
+        assert server.requests_rejected == 2
+        conn.close()
+
+
 def test_metadata_ops_not_throttled(busy_server):
     """Only read/write are admission-controlled; create/exists/ping pass."""
     conn = ServerConnection(*busy_server.address)
