@@ -231,7 +231,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
                     "tool": "fsck",
                     "clean": report.clean,
                     "files_checked": report.files_checked,
-                    "directories_checked": report.directories_checked,
                     "findings": [
                         {
                             "kind": f.kind,

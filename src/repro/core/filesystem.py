@@ -803,9 +803,6 @@ class DPFS:
             self.meta.update_file_size(record.path, new_size)
         record.size = new_size
 
-    def _handle_closed(self, handle: FileHandle) -> None:
-        """DPFS-Close hook — metadata is already durable; nothing to flush."""
-
     # -- convenience -----------------------------------------------------------
     def read_file(self, path: str) -> bytes:
         """Whole-file read (shell `cat` / export path)."""

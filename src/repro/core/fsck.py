@@ -21,14 +21,14 @@ repairs) drift between them:
                        (repair: delete)
 ``bad-brick-map``      a file's distribution rows are not a permutation of
                        its bricks (unrepairable: reported only)
-``dangling-dir-entry`` a directory row lists a child with no attr/dir row
-                       (repair: unlink)
-``unlinked-file``      a file has attr rows but no directory entry
-                       (repair: link into its parent, creating parents)
 ``usage-drift``        a server's ``used`` counter in ``dpfs_server``
                        disagrees with the sum of its bricks over every
                        bricklist (repair: rewrite the counters)
 =====================  =====================================================
+
+Directory membership needs no pass: a file's or directory's own
+``parent`` key is the only record of it, and the database's foreign key
+refuses any statement that would leave a child without its directory.
 
 With ``deep=True`` (the default) fsck additionally runs the scrubber's
 copy verification over every file, surfacing ``checksum-mismatch``,
@@ -43,7 +43,6 @@ findings with the same repair semantics as ``dpfs scrub``
 
 from __future__ import annotations
 
-import posixpath
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -108,7 +107,6 @@ class FsckReport:
     """Outcome of one consistency pass."""
 
     files_checked: int = 0
-    directories_checked: int = 0
     findings: list[Finding] = field(default_factory=list)
 
     @property
@@ -121,7 +119,6 @@ class FsckReport:
     def __str__(self) -> str:
         lines = [
             f"fsck: {self.files_checked} files, "
-            f"{self.directories_checked} directories, "
             f"{len(self.findings)} finding(s)"
         ]
         lines += [str(f) for f in self.findings]
@@ -241,75 +238,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                     )
                 )
 
-    # -- pass 2: directory tree ↔ attr rows -----------------------------------
-    dir_rows: dict[str, tuple[list[str], list[str]]] = {}
-    stack = ["/"]
-    seen_dirs: set[str] = set()
-    while stack:
-        current = stack.pop()
-        if current in seen_dirs:
-            continue
-        seen_dirs.add(current)
-        report.directories_checked += 1
-        try:
-            subs, files = meta.listdir(current)
-        except DPFSError:
-            continue
-        dir_rows[current] = (subs, files)
-        for sub in subs:
-            child = posixpath.join(current, sub)
-            if not meta.dir_exists(child):
-                repaired = False
-                if repair:
-                    _unlink_dir_entry(meta, current, sub, is_dir=True)
-                    repaired = True
-                report.findings.append(
-                    Finding(
-                        "dangling-dir-entry",
-                        child,
-                        f"listed in {current} but has no directory row",
-                        repaired,
-                    )
-                )
-            else:
-                stack.append(child)
-        for name in files:
-            child = posixpath.join(current, name)
-            if not meta.file_exists(child):
-                repaired = False
-                if repair:
-                    _unlink_dir_entry(meta, current, name, is_dir=False)
-                    repaired = True
-                report.findings.append(
-                    Finding(
-                        "dangling-dir-entry",
-                        child,
-                        f"listed in {current} but has no attr row",
-                        repaired,
-                    )
-                )
-
-    linked_files = {
-        posixpath.join(d, name)
-        for d, (_subs, files) in dir_rows.items()
-        for name in files
-    }
-    for path in meta.iter_files():
-        if path not in linked_files:
-            repaired = False
-            if repair:
-                _relink_file(meta, path)
-                repaired = True
-            report.findings.append(
-                Finding(
-                    "unlinked-file",
-                    path,
-                    "attr row exists but no directory lists it",
-                    repaired,
-                )
-            )
-
-    # -- pass 3: usage counters ↔ bricklists ---------------------------------
+    # -- pass 2: usage counters ↔ bricklists ---------------------------------
     oracle = usage_oracle(meta)
     drifted = [
         row for row in meta.servers() if row["used"] != oracle[row["server_id"]]
@@ -327,7 +256,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
             )
         )
 
-    # -- pass 4: orphan subfiles on the servers --------------------------------
+    # -- pass 3: orphan subfiles on the servers --------------------------------
     for server in range(backend.n_servers):
         for name in backend.list_subfiles(server):
             if name not in referenced:
@@ -345,29 +274,3 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                 )
     return report
 
-
-def _unlink_dir_entry(meta, parent: str, name: str, *, is_dir: bool) -> None:
-    subs, files = meta.listdir(parent)
-    if is_dir:
-        subs = [s for s in subs if s != name]
-        meta.db.execute(
-            "UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?",
-            [subs, parent],
-        )
-    else:
-        files = [f for f in files if f != name]
-        meta.db.execute(
-            "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-            [files, parent],
-        )
-
-
-def _relink_file(meta, path: str) -> None:
-    parent, base = posixpath.split(path)
-    meta.makedirs(parent)
-    subs, files = meta.listdir(parent)
-    if base not in files:
-        meta.db.execute(
-            "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-            [sorted(files + [base]), parent],
-        )

@@ -47,6 +47,7 @@ from .checksum import checksum_fn
 from .combine import ServerRequest, SlicePlacement, plan_requests
 from .crashpoints import crashpoint, register
 from .metadata import FileRecord
+from .scrub import rewrite_copy
 from .striping import FileLevel, LinearStriping, StripingMethod
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -230,10 +231,9 @@ class FileHandle:
         return self._closed
 
     def close(self) -> None:
-        """DPFS-Close: flush metadata and invalidate the handle."""
+        """DPFS-Close: invalidate the handle (metadata is already durable)."""
         if not self._closed:
             self._closed = True
-            self.fs._handle_closed(self)
 
     def __enter__(self) -> "FileHandle":
         return self
@@ -715,7 +715,11 @@ class FileHandle:
             )
         self.fs._note_failover("checksum")
         good = self._read_alternate(s, exclude_server=p.server)
-        self._repair_copy(s.brick_id, p.server, name, good)
+        # full brick: the placement's extent is the whole bad copy
+        rewrite_copy(
+            self.fs, self.record.path, s.brick_id, p.server, name,
+            p.subfile_offset, s.length, bytes(good),
+        )
         return good
 
     def _read_alternate(self, s: BrickSlice, *, exclude_server: int) -> bytes:
@@ -758,27 +762,6 @@ class FileHandle:
             f"{self.record.path} brick {s.brick_id}: no reachable copy "
             f"matches the stored {self.record.crc_algo} checksum"
         )
-
-    def _repair_copy(
-        self, brick_id: int, server: int, name: str, good: bytes
-    ) -> None:
-        """Overwrite a corrupt copy with verified bytes (best-effort).
-
-        Success lifts the quarantine and counts a repair; failure (the
-        server may be down) leaves the copy quarantined for the scrubber.
-        """
-        for _idx, loc, cname in self._copy_locations(brick_id):
-            if loc.server != server or cname != name:
-                continue
-            try:
-                self.fs.backend.write_extents(
-                    server, name, [(loc.local_offset, loc.size)], bytes(good)
-                )
-            except (DPFSError, OSError):
-                return
-            self.fs.quarantine.discard((self.record.path, brick_id, server))
-            self.fs._note_repair()
-            return
 
     def _execute_write(self, slices: list[BrickSlice], data: bytes) -> None:
         with self.fs.tracer.trace(

@@ -17,10 +17,16 @@ paper's names become underscores — SQL identifiers):
     server_name, filename, bricklist (JSON) — how each file's bricks
     are spread over subfiles.
 ``dpfs_directory``
-    main_dir, sub_dirs (JSON), files (JSON) — the directory tree.
+    main_dir, parent — the directory tree.  The paper's row holds JSON
+    lists of its sub-directories and files; here every directory and
+    file row instead names its own ``parent`` (a foreign key to
+    ``main_dir``; ``/`` has none), so membership is recorded once and
+    the database refuses a statement that would orphan a child.
+    ``listdir`` is two indexed SELECTs on ``parent``.
 ``dpfs_file_attr``
     filename, owner, permission, size, filelevel, striping geometry
-    (JSON), placement — per-file attributes incl. the §3 file level.
+    (JSON), placement, parent — per-file attributes incl. the §3 file
+    level.
 
 A fifth table, ``dpfs_file_replica``, extends the paper's schema with
 per-server *replica* bricklists (same shape as the distribution table)
@@ -133,6 +139,15 @@ _FILE_BRICK_SIZES_SQL = " UNION ALL ".join(
     for table in ("dpfs_file_distribution", "dpfs_file_replica")
 )
 
+# Every directory and file row names its directory; the foreign key
+# (enforced: ``Database`` turns ``foreign_keys`` on) is the only record
+# of membership.
+_PARENT_COLUMN = "parent TEXT REFERENCES dpfs_directory (main_dir)"
+_ANY_CHILD_SQL = (
+    "SELECT 1 FROM dpfs_directory WHERE parent = ?"
+    " UNION ALL SELECT 1 FROM dpfs_file_attr WHERE parent = ? LIMIT 1"
+)
+
 
 class MetadataManager:
     """All DPFS metadata operations, expressed as SQL transactions."""
@@ -178,8 +193,7 @@ class MetadataManager:
         self.db.execute(
             "CREATE TABLE IF NOT EXISTS dpfs_directory ("
             " main_dir TEXT PRIMARY KEY,"
-            " sub_dirs JSON NOT NULL,"
-            " files JSON NOT NULL)"
+            f" {_PARENT_COLUMN})"
         )
         self.db.execute(
             "CREATE TABLE IF NOT EXISTS dpfs_file_attr ("
@@ -190,15 +204,22 @@ class MetadataManager:
             " filelevel TEXT NOT NULL,"
             " element_size INTEGER NOT NULL,"
             " geometry JSON NOT NULL,"        # shapes / pattern / grid / sizes
-            " placement TEXT NOT NULL)"
+            " placement TEXT NOT NULL,"
+            f" {_PARENT_COLUMN})"
         )
-        if not self._dir_row("/"):
-            self.db.execute(
-                "INSERT INTO dpfs_directory VALUES ('/', ?, ?)",
-                [[], []],
-            )
-        columns = self.db.execute("PRAGMA table_info(dpfs_server)").rows
-        if "used" not in {column["name"] for column in columns}:
+        if "parent" not in self._columns("dpfs_directory"):
+            self._migrate_to_parent_keys()
+        self.db.execute(
+            "CREATE INDEX IF NOT EXISTS dir_by_parent "
+            "ON dpfs_directory (parent, main_dir)"
+        )
+        self.db.execute(
+            "CREATE INDEX IF NOT EXISTS file_by_parent "
+            "ON dpfs_file_attr (parent, filename)"
+        )
+        if not self.dir_exists("/"):
+            self.db.execute("INSERT INTO dpfs_directory VALUES ('/', NULL)")
+        if "used" not in self._columns("dpfs_server"):
             # a root written before the counter existed: add it and
             # fill it once from the bricklists
             from .fsck import rewrite_usage, usage_oracle
@@ -209,6 +230,45 @@ class MetadataManager:
                     " ADD COLUMN used INTEGER NOT NULL DEFAULT 0"
                 )
                 rewrite_usage(self, usage_oracle(self))
+
+    def _columns(self, table: str) -> set[str]:
+        rows = self.db.execute(f"PRAGMA table_info({table})").rows
+        return {row["name"] for row in rows}
+
+    def _migrate_to_parent_keys(self) -> None:
+        """Re-key a root whose directory rows hold ``sub_dirs`` / ``files``
+        lists: every row gets ``parent`` from its own path, a missing
+        ancestor directory is created, and the lists are dropped (so an
+        older build refuses this root instead of mounting stale lists)."""
+        with self.db.transaction():
+            for table in ("dpfs_directory", "dpfs_file_attr"):
+                self.db.execute(f"ALTER TABLE {table} ADD COLUMN {_PARENT_COLUMN}")
+            for column in ("sub_dirs", "files"):
+                self.db.execute(f"ALTER TABLE dpfs_directory DROP COLUMN {column}")
+            dirs = {
+                row["main_dir"]
+                for row in self.db.execute("SELECT main_dir FROM dpfs_directory")
+            }
+            files = [
+                row["filename"]
+                for row in self.db.execute("SELECT filename FROM dpfs_file_attr")
+            ]
+            for path in [*dirs, *files]:
+                while path != "/":
+                    path = posixpath.dirname(path)
+                    dirs.add(path)
+            # sorted: an ancestor is a prefix, so it is keyed first
+            for path in sorted(dirs):
+                self.db.execute(
+                    "INSERT INTO dpfs_directory VALUES (?, ?) ON CONFLICT"
+                    " (main_dir) DO UPDATE SET parent = excluded.parent",
+                    [path, None if path == "/" else posixpath.dirname(path)],
+                )
+            for path in files:
+                self.db.execute(
+                    "UPDATE dpfs_file_attr SET parent = ? WHERE filename = ?",
+                    [posixpath.dirname(path), path],
+                )
 
     def register_servers(self, infos: list[Any]) -> None:
         """Record the backend's servers in dpfs_server (idempotent)."""
@@ -237,22 +297,15 @@ class MetadataManager:
             "FROM dpfs_server ORDER BY server_id"
         ).rows
 
-    def server_performance(self) -> list[float]:
-        return [row["performance"] for row in self.servers()]
-
     # ------------------------------------------------------------------
     # directories
     # ------------------------------------------------------------------
-    def _dir_row(self, path: str) -> dict[str, Any] | None:
-        rows = self.db.execute(
-            "SELECT main_dir, sub_dirs, files FROM dpfs_directory "
-            "WHERE main_dir = ?",
-            [path],
-        ).rows
-        return rows[0] if rows else None
-
     def dir_exists(self, path: str) -> bool:
-        return self._dir_row(normalize_path(path)) is not None
+        rows = self.db.execute(
+            "SELECT main_dir FROM dpfs_directory WHERE main_dir = ?",
+            [normalize_path(path)],
+        ).rows
+        return bool(rows)
 
     def file_exists(self, path: str) -> bool:
         rows = self.db.execute(
@@ -262,26 +315,19 @@ class MetadataManager:
         return bool(rows)
 
     def mkdir(self, path: str) -> None:
-        """Create one directory (parent must exist) — the §5 update rule:
-        parent row gains the child, and a new row is inserted."""
+        """Create one directory (parent must exist): one row keyed to
+        its parent."""
         norm = normalize_path(path)
         if norm == "/":
             raise FileExists("/ always exists")
-        parent, base = split_path(norm)
+        parent, _base = split_path(norm)
         with self.db.transaction():
-            parent_row = self._dir_row(parent)
-            if parent_row is None:
+            if not self.dir_exists(parent):
                 raise FileNotFound(f"no such directory: {parent}")
-            if self._dir_row(norm) is not None or self.file_exists(norm):
+            if self.dir_exists(norm) or self.file_exists(norm):
                 raise FileExists(norm)
-            subs = list(parent_row["sub_dirs"])
-            subs.append(base)
             self.db.execute(
-                "UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?",
-                [sorted(subs), parent],
-            )
-            self.db.execute(
-                "INSERT INTO dpfs_directory VALUES (?, ?, ?)", [norm, [], []]
+                "INSERT INTO dpfs_directory VALUES (?, ?)", [norm, parent]
             )
 
     def makedirs(self, path: str) -> None:
@@ -301,31 +347,35 @@ class MetadataManager:
         if norm == "/":
             raise InvalidPath("cannot remove /")
         with self.db.transaction():
-            row = self._dir_row(norm)
-            if row is None:
+            if not self.dir_exists(norm):
                 raise FileNotFound(norm)
-            if row["sub_dirs"] or row["files"]:
+            if self.db.execute(_ANY_CHILD_SQL, [norm, norm]).rows:
                 from ..errors import DirectoryNotEmpty
 
                 raise DirectoryNotEmpty(norm)
-            parent, base = split_path(norm)
-            parent_row = self._dir_row(parent)
-            assert parent_row is not None
-            subs = [s for s in parent_row["sub_dirs"] if s != base]
-            self.db.execute(
-                "UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?",
-                [subs, parent],
-            )
             self.db.execute(
                 "DELETE FROM dpfs_directory WHERE main_dir = ?", [norm]
             )
 
     def listdir(self, path: str) -> tuple[list[str], list[str]]:
-        """(sub_dirs, files) of a directory."""
-        row = self._dir_row(normalize_path(path))
-        if row is None:
+        """(sub_dirs, files) of a directory, each sorted by name."""
+        norm = normalize_path(path)
+        if not self.dir_exists(norm):
             raise FileNotFound(path)
-        return list(row["sub_dirs"]), list(row["files"])
+        subs = self.db.execute(
+            "SELECT main_dir FROM dpfs_directory WHERE parent = ?"
+            " ORDER BY main_dir",
+            [norm],
+        ).rows
+        files = self.db.execute(
+            "SELECT filename FROM dpfs_file_attr WHERE parent = ?"
+            " ORDER BY filename",
+            [norm],
+        ).rows
+        return (
+            [posixpath.basename(row["main_dir"]) for row in subs],
+            [posixpath.basename(row["filename"]) for row in files],
+        )
 
     # ------------------------------------------------------------------
     # files
@@ -337,21 +387,14 @@ class MetadataManager:
         server_names: list[str],
         replica_map: ReplicaMap | None = None,
     ) -> None:
-        """Insert attr + distribution rows and link into the directory."""
+        """Insert attr + distribution rows, keyed to the parent directory."""
         norm = normalize_path(record.path)
-        parent, base = split_path(norm)
+        parent, _base = split_path(norm)
         with self.db.transaction():
-            parent_row = self._dir_row(parent)
-            if parent_row is None:
+            if not self.dir_exists(parent):
                 raise FileNotFound(f"no such directory: {parent}")
-            if self.file_exists(norm) or self._dir_row(norm) is not None:
+            if self.file_exists(norm) or self.dir_exists(norm):
                 raise FileExists(norm)
-            files = list(parent_row["files"])
-            files.append(base)
-            self.db.execute(
-                "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-                [sorted(files), parent],
-            )
             geometry = {
                 "array_shape": list(record.array_shape) if record.array_shape else None,
                 "brick_shape": list(record.brick_shape) if record.brick_shape else None,
@@ -366,7 +409,7 @@ class MetadataManager:
                 "crc_algo": record.crc_algo,
             }
             self.db.execute(
-                "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 [
                     norm,
                     record.owner,
@@ -376,6 +419,7 @@ class MetadataManager:
                     record.element_size,
                     geometry,
                     record.placement,
+                    parent,
                 ],
             )
             self._write_bricklists(norm, brick_map, replica_map, server_names)
@@ -604,18 +648,10 @@ class MetadataManager:
 
     def remove_file(self, path: str) -> None:
         norm = normalize_path(path)
-        parent, base = split_path(norm)
         with self.db.transaction():
             if not self.file_exists(norm):
                 raise FileNotFound(norm)
             self._charge_usage(norm, -1)
-            parent_row = self._dir_row(parent)
-            if parent_row is not None:
-                files = [f for f in parent_row["files"] if f != base]
-                self.db.execute(
-                    "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-                    [files, parent],
-                )
             self.db.execute(
                 "DELETE FROM dpfs_file_attr WHERE filename = ?", [norm]
             )
@@ -629,7 +665,7 @@ class MetadataManager:
             )
 
     def rename_file(self, old: str, new: str) -> None:
-        """mv: re-key a file's attr/distribution rows and directory links.
+        """mv: re-key a file's attr (name and parent) and distribution rows.
 
         Directories cannot be renamed (children embed the parent path);
         the shell's ``mv`` therefore applies to files only.
@@ -638,8 +674,7 @@ class MetadataManager:
         new_norm = normalize_path(new)
         if old_norm == new_norm:
             return
-        old_parent, old_base = split_path(old_norm)
-        new_parent, new_base = split_path(new_norm)
+        new_parent, _base = split_path(new_norm)
         with self.db.transaction():
             if not self.file_exists(old_norm):
                 if self.dir_exists(old_norm):
@@ -649,36 +684,12 @@ class MetadataManager:
                 raise FileNotFound(old_norm)
             if self.file_exists(new_norm) or self.dir_exists(new_norm):
                 raise FileExists(new_norm)
-            new_parent_row = self._dir_row(new_parent)
-            if new_parent_row is None:
+            if not self.dir_exists(new_parent):
                 raise FileNotFound(f"no such directory: {new_parent}")
-            # unlink from the old parent
-            old_parent_row = self._dir_row(old_parent)
-            assert old_parent_row is not None
-            if old_parent == new_parent:
-                files = [f for f in old_parent_row["files"] if f != old_base]
-                files.append(new_base)
-                self.db.execute(
-                    "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-                    [sorted(files), old_parent],
-                )
-            else:
-                self.db.execute(
-                    "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-                    [
-                        [f for f in old_parent_row["files"] if f != old_base],
-                        old_parent,
-                    ],
-                )
-                files = list(new_parent_row["files"])
-                files.append(new_base)
-                self.db.execute(
-                    "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-                    [sorted(files), new_parent],
-                )
             self.db.execute(
-                "UPDATE dpfs_file_attr SET filename = ? WHERE filename = ?",
-                [new_norm, old_norm],
+                "UPDATE dpfs_file_attr SET filename = ?, parent = ?"
+                " WHERE filename = ?",
+                [new_norm, new_parent, old_norm],
             )
             for table in ("dpfs_file_distribution", "dpfs_file_replica"):
                 rows = self.db.execute(
@@ -704,14 +715,14 @@ class MetadataManager:
             return self.stat(norm)["size"]
         if not self.dir_exists(norm):
             raise FileNotFound(norm)
-        prefix = norm if norm.endswith("/") else norm + "/"
-        total = 0
-        for row in self.db.execute(
-            "SELECT filename, size FROM dpfs_file_attr"
-        ).rows:
-            if row["filename"].startswith(prefix):
-                total += row["size"]
-        return total
+        # every path under ``/d`` sorts in ['/d/', '/d0'): '0' follows '/'
+        prefix = norm.rstrip("/") + "/"
+        total = self.db.execute(
+            "SELECT SUM(size) FROM dpfs_file_attr"
+            " WHERE filename >= ? AND filename < ?",
+            [prefix, prefix[:-1] + "0"],
+        ).scalar()
+        return total or 0
 
     def server_usage(self) -> dict[int, int]:
         """Physical bytes each server holds: its ``used`` counter."""

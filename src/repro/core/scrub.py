@@ -217,7 +217,7 @@ def verify_file_copies(
                     continue
                 server, name = key
                 off, size = _copy_extent(copies, key)
-                repaired = repair and _rewrite_copy(
+                repaired = repair and rewrite_copy(
                     fs, path, brick_id, server, name, off, size,
                     datas[good_key],
                 )
@@ -232,7 +232,7 @@ def verify_file_copies(
                     )
                 )
             for server, name, off, size, why in unreadable:
-                repaired = repair and _rewrite_copy(
+                repaired = repair and rewrite_copy(
                     fs, path, brick_id, server, name, off, size,
                     datas[good_key], create=True,
                 )
@@ -284,7 +284,7 @@ def verify_file_copies(
                     continue
                 server, name = key
                 off, size = _copy_extent(copies, key)
-                ok = repair and _rewrite_copy(
+                ok = repair and rewrite_copy(
                     fs, path, brick_id, server, name, off, size,
                     datas[majority_key],
                 )
@@ -323,7 +323,7 @@ def _copy_extent(
     raise KeyError(key)
 
 
-def _rewrite_copy(
+def rewrite_copy(
     fs: "DPFS",
     path: str,
     brick_id: int,
@@ -335,7 +335,12 @@ def _rewrite_copy(
     *,
     create: bool = False,
 ) -> bool:
-    """Overwrite one copy with verified bytes; True on success."""
+    """Overwrite one copy with verified bytes; True on success.
+
+    Success lifts the copy's quarantine, counts a repair and drops the
+    file's cached bricks; failure (the server may be down) leaves the
+    copy quarantined.  Read-repair and the scrubber both use it.
+    """
     try:
         if create and not fs.backend.subfile_exists(server, name):
             fs.backend.create_subfile(server, name)

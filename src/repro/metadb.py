@@ -13,8 +13,9 @@ manager speaks plain SQL with transactions, exactly as §5 describes.
 
 Durability point: a file database runs ``journal_mode=WAL`` with
 ``synchronous=FULL``, so a transaction is on disk when COMMIT returns.
-Columns declared ``JSON`` hold ``json.dumps`` text and come back
-decoded; list and dict parameters are encoded on the way in.
+Foreign keys are enforced on every connection.  Columns declared
+``JSON`` hold ``json.dumps`` text and come back decoded; list and dict
+parameters are encoded on the way in.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ class Database:
             check_same_thread=False,
             detect_types=sqlite3.PARSE_DECLTYPES,
         )
+        # REFERENCES clauses hold: a statement that would leave a child
+        # row without its parent fails with ConstraintError
+        self._conn.execute("PRAGMA foreign_keys=ON")
         if path is not None:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=FULL")

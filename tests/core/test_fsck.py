@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DPFS, Hint, fsck
+from repro.errors import ConstraintError
 
 
 @pytest.fixture
@@ -17,7 +18,6 @@ def test_clean_filesystem(populated):
     report = fsck(populated)
     assert report.clean
     assert report.files_checked == 2
-    assert report.directories_checked >= 3
     assert "0 finding(s)" in str(report)
 
 
@@ -49,47 +49,40 @@ def test_orphan_subfile_detected_and_repaired(populated):
     assert fsck(fs).clean
 
 
-def test_dangling_dir_entry_detected_and_repaired(populated):
+def test_deleted_attr_row_leaves_listdir_and_orphans_subfiles(populated):
     fs = populated
-    # corrupt: directory row lists a file whose attr row is gone
+    # corrupt: the file's attr row is gone, its subfiles are not
     fs.db.execute("DELETE FROM dpfs_file_attr WHERE filename = '/b'")
+    assert fs.listdir("/") == (["home"], [])
     report = fsck(fs)
-    kinds = {f.kind for f in report.findings}
-    assert "dangling-dir-entry" in kinds
-    # the now-unreferenced subfiles also show up as orphans
-    assert "orphan-subfile" in kinds
+    orphans = report.by_kind("orphan-subfile")
+    assert orphans and {f.path for f in orphans} == {"/b"}
 
     fsck(fs, repair=True)
     assert fsck(fs).clean
-    assert fs.listdir("/")[1] == []  # /b unlinked
+    assert fs.read_file("/home/user/a") == b"x" * 1000
 
 
-def test_dangling_subdir_detected_and_repaired(populated):
+def test_deleting_a_directory_with_children_is_refused(populated):
     fs = populated
-    fs.db.execute("DELETE FROM dpfs_directory WHERE main_dir = '/home/user'")
-    report = fsck(fs)
-    assert report.by_kind("dangling-dir-entry")
-    fsck(fs, repair=True)
-    final = fsck(fs)
-    assert final.clean
-
-
-def test_unlinked_file_detected_and_relinked(populated):
-    fs = populated
-    # corrupt: remove /b from the root directory listing only
-    _subs, files = fs.meta.listdir("/")
-    fs.db.execute(
-        "UPDATE dpfs_directory SET files = ? WHERE main_dir = '/'",
-        [[f for f in files if f != "b"]],
-    )
-    report = fsck(fs)
-    unlinked = report.by_kind("unlinked-file")
-    assert [f.path for f in unlinked] == ["/b"]
-
-    fsck(fs, repair=True)
+    for directory in ("/home/user", "/home"):  # a file child, a dir child
+        with pytest.raises(ConstraintError):
+            fs.db.execute(
+                "DELETE FROM dpfs_directory WHERE main_dir = ?", [directory]
+            )
+    assert fs.listdir("/home") == (["user"], [])
     assert fsck(fs).clean
-    assert "b" in fs.listdir("/")[1]
+
+
+def test_file_cannot_be_keyed_to_a_missing_directory(populated):
+    fs = populated
+    with pytest.raises(ConstraintError):
+        fs.db.execute(
+            "UPDATE dpfs_file_attr SET parent = '/gone' WHERE filename = '/b'"
+        )
+    assert fs.listdir("/") == (["home"], ["b"])
     assert fs.read_file("/b") == b"y" * 500
+    assert fsck(fs).clean
 
 
 def test_bad_brick_map_reported(populated):

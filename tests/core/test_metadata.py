@@ -94,7 +94,6 @@ def test_schema_created(meta):
 def test_register_servers_idempotent(meta):
     meta.register_servers(MemoryBackend(3).servers)
     assert len(meta.servers()) == 3
-    assert meta.server_performance() == [1.0, 1.0, 1.0]
 
 
 def test_root_directory_exists(meta):
@@ -239,3 +238,93 @@ def test_distribution_rows_match_paper_schema(meta):
     assert len(rows) == 3
     all_bricks = sorted(b for row in rows for b in row["bricklist"])
     assert all_bricks == list(range(6))
+
+
+# -- roots written before directories were keyed by parent --------------------
+
+_OLD_NAMESPACE_DDL = (
+    "CREATE TABLE dpfs_directory ("
+    " main_dir TEXT PRIMARY KEY,"
+    " sub_dirs JSON NOT NULL,"
+    " files JSON NOT NULL)",
+    "CREATE TABLE dpfs_file_attr ("
+    " filename TEXT PRIMARY KEY,"
+    " owner TEXT NOT NULL,"
+    " permission INTEGER NOT NULL,"
+    " size INTEGER NOT NULL,"
+    " filelevel TEXT NOT NULL,"
+    " element_size INTEGER NOT NULL,"
+    " geometry JSON NOT NULL,"
+    " placement TEXT NOT NULL)",
+)
+
+
+def test_root_with_directory_lists_is_rekeyed_once_at_mount(tmp_path):
+    """A root whose directory rows hold ``sub_dirs`` / ``files`` lists
+    is re-keyed by ``parent`` on its next mount: a stale list entry
+    vanishes, an unlisted file is listed, a missing parent directory is
+    created, and the lists are dropped."""
+    from repro.core import DPFS, fsck
+
+    root = tmp_path / "root"
+    payload = {
+        "/b": b"b" * 300,
+        "/home/c": b"c" * 200,
+        "/home/user/a": b"a" * 700,
+        "/lost/x": b"x" * 100,
+    }
+    with DPFS.local(root, n_servers=3) as fs:
+        fs.makedirs("/home/user")
+        fs.makedirs("/lost")
+        fs.mkdir("/tmp")
+        for path, data in payload.items():
+            fs.write_file(path, data)
+    # rewrite both tables as the older schema left them
+    db = Database(root / "dpfs.meta")
+    db.execute("PRAGMA foreign_keys=OFF")
+    attrs = db.execute("SELECT * FROM dpfs_file_attr").rows
+    db.execute("DROP TABLE dpfs_file_attr")
+    db.execute("DROP TABLE dpfs_directory")
+    for ddl in _OLD_NAMESPACE_DDL:
+        db.execute(ddl)
+    for attr in attrs:
+        del attr["parent"]
+        db.execute(
+            "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            list(attr.values()),
+        )
+    for main_dir, sub_dirs, files in [
+        ("/", ["home", "tmp"], ["b", "stale"]),  # stale entry; no /lost row
+        ("/home", ["user"], []),  # /home/c unlisted
+        ("/home/user", [], ["a"]),
+        ("/tmp", [], []),
+    ]:
+        db.execute(
+            "INSERT INTO dpfs_directory VALUES (?, ?, ?)",
+            [main_dir, sub_dirs, files],
+        )
+    db.close()
+
+    for _mount in range(2):
+        with DPFS.local(root, n_servers=3) as fs:
+            columns = fs.db.execute("PRAGMA table_info(dpfs_directory)").rows
+            assert [c["name"] for c in columns] == ["main_dir", "parent"]
+            assert fs.listdir("/") == (["home", "lost", "tmp"], ["b"])
+            assert fs.listdir("/home") == (["user"], ["c"])
+            assert fs.listdir("/home/user") == ([], ["a"])
+            assert fs.listdir("/lost") == ([], ["x"])
+            assert fs.listdir("/tmp") == ([], [])
+            assert fsck(fs).clean
+            for path, data in payload.items():
+                assert fs.read_file(path) == data
+    with DPFS.local(root, n_servers=3) as fs:
+        fs.rename("/home/c", "/tmp/c")
+        assert fs.listdir("/home") == (["user"], [])
+        assert fs.listdir("/tmp") == ([], ["c"])
+        assert fs.read_file("/tmp/c") == payload["/home/c"]
+        with pytest.raises(DirectoryNotEmpty):
+            fs.rmdir("/home")
+        fs.remove("/lost/x")
+        fs.rmdir("/lost")
+        assert fs.listdir("/") == (["home", "tmp"], ["b"])
+        assert fsck(fs).clean

@@ -106,9 +106,13 @@ def test_du_counts_tree(fs):
     fs.write_file("/a/f1", b"x" * 100)
     fs.write_file("/a/b/f2", b"x" * 50)
     fs.write_file("/other", b"x" * 7)
+    # siblings sorting just below and at the end of the '/a/' key range
+    fs.write_file("/a.x", b"x" * 3)
+    fs.makedirs("/a0")
+    fs.write_file("/a0/f", b"x" * 2)
     assert fs.du("/a") == 150
     assert fs.du("/a/b") == 50
-    assert fs.du("/") == 157
+    assert fs.du("/") == 162
     assert fs.du("/a/f1") == 100  # file path works too
 
 

@@ -3,18 +3,24 @@
 Create, grow and remove keep each server's ``used`` counter inside
 their own transactions, so ``server_usage()`` reads one row per server.
 The recount over every bricklist (``fsck.usage_oracle``) is the oracle:
-after any sequence of mutations the two must agree.
+after any sequence of mutations the two must agree.  The same steps,
+with ``mkdir`` and ``rmdir`` mixed in, hold every directory's
+``listdir`` to a model of the live paths.
 """
 
+import posixpath
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DPFS, Hint, fsck
 from repro.core.fsck import usage_oracle
+from repro.errors import DirectoryNotEmpty
 from repro.metadb import Database
 
 BRICK = 256
-NAMES = ["/a", "/b", "/d/c"]
+NAMES = ["/a", "/b", "/d/c", "/e/f"]
 
 # the dpfs_server table as roots written before the usage counter have it
 _OLD_SERVER_DDL = (
@@ -27,7 +33,8 @@ _OLD_SERVER_DDL = (
 
 steps = st.lists(
     st.tuples(
-        st.sampled_from(["create", "grow", "rename", "remove"]),
+        # mkdir / rmdir act on the sampled path's directory
+        st.sampled_from(["create", "grow", "rename", "remove", "mkdir", "rmdir"]),
         st.sampled_from(NAMES),
         st.sampled_from(NAMES),
         st.integers(min_value=1, max_value=4),  # bricks
@@ -38,22 +45,50 @@ steps = st.lists(
 )
 
 
-def _apply(fs, op, path, other, bricks, replicas):
-    exists = fs.exists(path)
-    if op == "create" and not exists:
+def _apply(fs, dirs, files, op, path, other, bricks, replicas):
+    """One step on ``fs`` and on the model (``dirs``, ``files``)."""
+    parent = posixpath.dirname(path)
+    if op == "create" and path not in files and parent in dirs:
         size = bricks * BRICK
         fs.write_file(
             path,
             bytes(size),
             Hint.linear(file_size=size, brick_size=BRICK, replicas=replicas),
         )
-    elif op == "grow" and exists:
+        files.add(path)
+    elif op == "grow" and path in files:
         with fs.open(path, "r+") as handle:
             handle.write(handle.size + (bricks - 1) * BRICK, b"g" * BRICK)
-    elif op == "rename" and exists and not fs.exists(other):
+    elif (
+        op == "rename"
+        and path in files
+        and other not in files
+        and posixpath.dirname(other) in dirs
+    ):
         fs.rename(path, other)
-    elif op == "remove" and exists:
+        files.remove(path)
+        files.add(other)
+    elif op == "remove" and path in files:
         fs.remove(path)
+        files.remove(path)
+    elif op == "mkdir" and parent not in dirs:
+        fs.mkdir(parent)
+        dirs.add(parent)
+    elif op == "rmdir" and parent in dirs - {"/"}:
+        if any(posixpath.dirname(f) == parent for f in files):
+            with pytest.raises(DirectoryNotEmpty):
+                fs.rmdir(parent)
+        else:
+            fs.rmdir(parent)
+            dirs.remove(parent)
+
+
+def _children(paths, directory):
+    return sorted(
+        posixpath.basename(p)
+        for p in paths
+        if p != "/" and posixpath.dirname(p) == directory
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,9 +96,15 @@ def _apply(fs, op, path, other, bricks, replicas):
 def test_usage_counters_match_the_bricklists_after_every_step(ops):
     fs = DPFS.memory(n_servers=3, io_workers=1)
     fs.makedirs("/d")
+    dirs, files = {"/", "/d"}, set()
     for op in ops:
-        _apply(fs, *op)
+        _apply(fs, dirs, files, *op)
         assert fs.meta.server_usage() == usage_oracle(fs.meta), op
+        for directory in dirs:
+            assert fs.listdir(directory) == (
+                _children(dirs, directory),
+                _children(files, directory),
+            ), op
     assert fsck(fs, deep=False).clean
 
 

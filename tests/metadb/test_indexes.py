@@ -111,8 +111,9 @@ def test_index_survives_checkpoint(tmp_path):
 
 
 def test_metadata_lookups_use_indexes():
-    """No statement of a create / read / grow / rename / remove cycle
-    reads the namespace: every table access is an index SEARCH.  The
+    """No statement of a mkdir / create / read / grow / rename / listdir
+    / du / remove / rmdir cycle reads the namespace: every table access
+    is an index SEARCH.  The
     only SCANs allowed are of ``dpfs_server`` (one row per server) and
     of ``json_each`` over one bricklist of a row found by index — so a
     namespace-wide aggregate (the per-create usage sum this replaced)
@@ -137,7 +138,10 @@ def test_metadata_lookups_use_indexes():
     with fs.open("/d/f", "r+") as handle:
         handle.write(len(data), data[:2048])  # grows by two bricks
     fs.rename("/d/f", "/d/g")
+    assert fs.listdir("/d") == ([], ["g"])
+    assert fs.du("/d") == len(data) + 2048
     fs.remove("/d/g")
+    fs.rmdir("/d")
     del fs.db.execute
 
     structure = {"COMPOUND QUERY", "LEFT-MOST SUBQUERY", "UNION ALL"}
