@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import shutil
 import threading
+from contextlib import suppress
 from pathlib import Path
 from collections.abc import Sequence
 
@@ -101,6 +102,10 @@ def write_subfile(
         )
 
 
+def _no_subfile(server: int, name: str) -> FileSystemError:
+    return FileSystemError(f"no subfile {name!r} on server {server}")
+
+
 class LocalBackend(StorageBackend):
     """Servers are subdirectories ``server_0 .. server_{n-1}`` of a root."""
 
@@ -150,17 +155,15 @@ class LocalBackend(StorageBackend):
         os.close(os.open(self._path(server, name), os.O_CREAT | os.O_WRONLY, 0o666))
 
     def delete_subfile(self, server: int, name: str) -> None:
-        path = self._path(server, name)
-        if os.path.exists(path):
-            os.unlink(path)
+        with suppress(FileNotFoundError):
+            os.unlink(self._path(server, name))
 
     def subfile_exists(self, server: int, name: str) -> bool:
         return os.path.exists(self._path(server, name))
 
     def rename_subfile(self, server: int, old: str, new: str) -> None:
-        src = self._path(server, old)
-        if os.path.exists(src):
-            os.replace(src, self._path(server, new))
+        with suppress(FileNotFoundError):
+            os.replace(self._path(server, old), self._path(server, new))
 
     def list_subfiles(self, server: int) -> list[str]:
         self._check_server(server)
@@ -171,20 +174,21 @@ class LocalBackend(StorageBackend):
         )
 
     def subfile_size(self, server: int, name: str) -> int:
-        path = self._path(server, name)
-        if not os.path.exists(path):
-            raise FileSystemError(f"no subfile {name!r} on server {server}")
-        return os.stat(path).st_size
+        try:
+            return os.stat(self._path(server, name)).st_size
+        except FileNotFoundError:
+            raise _no_subfile(server, name) from None
 
     # -- I/O -----------------------------------------------------------------
     def read_extents(
         self, server: int, name: str, extents: Sequence[Extent]
     ) -> bytes:
-        path = self._path(server, name)
-        if not os.path.exists(path):
-            raise FileSystemError(f"no subfile {name!r} on server {server}")
+        try:
+            fh = open(self._path(server, name), "rb")
+        except FileNotFoundError:
+            raise _no_subfile(server, name) from None
         out = bytearray()
-        with open(path, "rb") as fh:
+        with fh:
             size = os.fstat(fh.fileno()).st_size
             for off, ln in extents:
                 if off < 0 or ln < 0:
@@ -209,16 +213,17 @@ class LocalBackend(StorageBackend):
         crc_algo: str = CRC_ALGORITHM,
     ) -> list[BrickCrc]:
         path = self._path(server, name)
-        if not os.path.exists(path):
-            raise FileSystemError(f"no subfile {name!r} on server {server}")
         self._check_payload(extents, data)
         for off, ln in extents:
             if off < 0 or ln < 0:
                 raise FileSystemError(f"invalid extent ({off}, {ln})")
         with self._io_locks[server]:
-            return write_subfile(
-                path, extents, data, bricks, crc_algo, self._clocks[server]
-            )
+            try:
+                return write_subfile(
+                    path, extents, data, bricks, crc_algo, self._clocks[server]
+                )
+            except FileNotFoundError:
+                raise _no_subfile(server, name) from None
 
     # -- extras ----------------------------------------------------------------
     def wipe(self) -> None:

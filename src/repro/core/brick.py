@@ -134,6 +134,10 @@ class BrickMap:
             raise PlacementError(f"server {server} outside [0, {self.n_servers})")
         return self._server_tail[server]
 
+    def holders(self) -> list[int]:
+        """Servers holding at least one brick, ascending."""
+        return [s for s in range(self.n_servers) if self._server_tail[s]]
+
     def bricks_per_server(self) -> list[int]:
         counts = [0] * self.n_servers
         for loc in self.locations:
@@ -263,6 +267,10 @@ class ReplicaMap:
 
     def subfile_size(self, server: int) -> int:
         return sum(self._sizes[b] for b in self.bricklists[server])
+
+    def holders(self) -> list[int]:
+        """Servers holding at least one replica brick, ascending."""
+        return [s for s, bricklist in enumerate(self.bricklists) if bricklist]
 
     def to_lists(self) -> list[list[int]]:
         return [list(bl) for bl in self.bricklists]

@@ -38,7 +38,7 @@ from .handle import FileHandle
 from .hints import Hint
 from .intent import IntentLog, RecoveryReport
 from .intent import recover as _recover_intents
-from .metadata import FileRecord, MetadataManager, normalize_path, split_path
+from .metadata import FileRecord, Holders, MetadataManager, normalize_path, split_path
 from .placement import Greedy, PlacementPolicy, RoundRobin, make_policy
 from .striping import FileLevel, LinearStriping
 
@@ -72,6 +72,7 @@ CP_RENAME_IN_COMMIT = register("filesystem.rename.in_commit")
 CP_RENAME_AFTER_METADATA = register("filesystem.rename.after_metadata")
 CP_RENAME_MID_SUBFILES = register("filesystem.rename.mid_subfiles")
 CP_RENAME_AFTER_SUBFILES = register("filesystem.rename.after_subfiles")
+CP_GROW_MID_SUBFILES = register("filesystem.grow.mid_subfiles")
 CP_GROW_IN_COMMIT = register("filesystem.grow.in_commit")
 CP_REFILL_AFTER_INTENT = register("filesystem.refill.after_intent")
 CP_REFILL_MID_COPY = register("filesystem.refill.mid_copy")
@@ -335,37 +336,40 @@ class DPFS:
 
     def remove(self, path: str) -> None:
         """rm — journalled: drop metadata (the commit point), then delete
-        every server's subfiles (replicas too).
+        the file's subfiles (replicas too) on the servers its rows named.
 
         The metadata drop and the intent that records it, already marked
         committed, are one SQL transaction: before it nothing happened,
-        so no separate ``begin`` is needed.  The subfile deletes fan out
-        through the dispatcher and run on *every* server even when some
-        fail, so one DOWN server no longer strands the rest.  Failures
-        surface as one :class:`MultiServerError` and leave the intent
-        journalled for a later recovery sweep to finish.
+        so no separate ``begin`` is needed.  The intent records the
+        servers, so recovery deletes on the same ones.  The subfile
+        deletes fan out through the dispatcher and run on every one of
+        those servers even when some fail, so one DOWN server does not
+        strand the rest.  Failures surface as one
+        :class:`MultiServerError` and leave the intent journalled for a
+        later recovery sweep to finish.
         """
         norm = normalize_path(path)
         with self.db.transaction():
-            self.meta.remove_file(norm)
+            servers = self._server_ids(self.meta.remove_file(norm))
             crashpoint(CP_REMOVE_IN_COMMIT)
             intent = self.intents.begin(
                 "remove",
-                {"path": norm},
+                {"path": norm, "servers": servers},
                 steps=["remove-metadata", "delete-subfiles"],
                 commit_step="remove-metadata",
             )
             self.intents.mark(intent, "remove-metadata")
         crashpoint(CP_REMOVE_AFTER_METADATA)
         self._forget_path(norm)
-        self._redo_remove_subfiles(norm)   # raises MultiServerError, intent kept
+        self._redo_remove_subfiles(norm, servers)  # raises MultiServerError, intent kept
         crashpoint(CP_REMOVE_AFTER_SUBFILES)
         self.intents.retire(intent)
 
     def rename(self, old: str, new: str) -> None:
         """mv — journalled: metadata re-key (the commit point, journalled
-        in the same transaction, as in :meth:`remove`), then per-server
-        subfile renames fanned out through the dispatcher.
+        in the same transaction, as in :meth:`remove`), then subfile
+        renames on the servers the file's rows name, fanned out through
+        the dispatcher.
 
         Subfile renames are idempotent (skip a server that already
         holds the new name) and tolerate missing replica subfiles, so
@@ -377,11 +381,7 @@ class DPFS:
         if old_norm == new_norm:
             return
         with self.db.transaction():
-            replicated = False
-            if self.meta.file_exists(old_norm):
-                record, _ = self.meta.load_file(old_norm)
-                replicated = record.replicas > 1
-            self.meta.rename_file(old_norm, new_norm)
+            replicated, holders = self.meta.rename_file(old_norm, new_norm)
             crashpoint(CP_RENAME_IN_COMMIT)
             intent = self.intents.begin(
                 "rename",
@@ -392,19 +392,22 @@ class DPFS:
             self.intents.mark(intent, "rekey-metadata")
         crashpoint(CP_RENAME_AFTER_METADATA)
         self._forget_path(old_norm)
-        self._redo_rename_subfiles(old_norm, new_norm, replicated)
+        self._redo_rename_subfiles(old_norm, new_norm, replicated, holders)
         crashpoint(CP_RENAME_AFTER_SUBFILES)
         self.intents.retire(intent)
 
     # -- journalled per-server fan-out (shared with crash recovery) ------------
-    def _fanout_subfiles(self, op: str, fn) -> None:
-        """Run ``fn(server)`` on every server through the dispatcher.
+    def _server_ids(self, names) -> list[int]:
+        """Backend indices of the named servers, ascending."""
+        return [i for i, name in enumerate(self._server_names) if name in names]
+
+    def _fanout_subfiles(self, op: str, fn, servers: Sequence[int]) -> None:
+        """Run ``fn(server)`` on each of ``servers`` through the dispatcher.
 
         Unlike a plain dispatch, failures don't stop the batch: every
         server is attempted, then the failures — if any — are raised as
         one aggregate :class:`MultiServerError`.
         """
-        servers = list(range(self.backend.n_servers))
         results = self.dispatcher.run(
             servers, fn, server_of=lambda s: s, collect_errors=True
         )
@@ -414,65 +417,89 @@ class DPFS:
         if errors:
             raise MultiServerError(op, errors)
 
-    def _redo_create_subfiles(self, norm: str, replicated: bool) -> None:
+    def _redo_create_subfiles(
+        self,
+        norm: str,
+        primary: Sequence[int],
+        replica: Sequence[int],
+        point: str = CP_CREATE_MID_SUBFILES,
+    ) -> None:
+        """Make the primary subfile on ``primary`` and the replica
+        subfile on ``replica`` servers (``point``: the crash point after
+        each server's work; grow passes its own)."""
         rname = replica_subfile(norm)
 
-        def op(server: int) -> None:
-            self.backend.create_subfile(server, norm)
-            if replicated:
+        def make(server: int) -> None:
+            if server in primary:
+                self.backend.create_subfile(server, norm)
+            if server in replica:
                 self.backend.create_subfile(server, rname)
-            crashpoint(CP_CREATE_MID_SUBFILES)
+            crashpoint(point)
 
-        self._fanout_subfiles("create", op)
+        self._fanout_subfiles("create", make, sorted({*primary, *replica}))
 
-    def _undo_create_subfiles(self, norm: str) -> None:
+    def _redo_remove_subfiles(
+        self,
+        norm: str,
+        servers: Sequence[int],
+        point: str | None = CP_REMOVE_MID_SUBFILES,
+    ) -> None:
         rname = replica_subfile(norm)
 
-        def op(server: int) -> None:
+        def delete(server: int) -> None:
             self.backend.delete_subfile(server, norm)
             self.backend.delete_subfile(server, rname)
+            if point:
+                crashpoint(point)
 
-        self._fanout_subfiles("create-rollback", op)
+        self._fanout_subfiles("remove", delete, servers)
 
-    def _redo_remove_subfiles(self, norm: str) -> None:
-        rname = replica_subfile(norm)
-
-        def op(server: int) -> None:
-            self.backend.delete_subfile(server, norm)
-            self.backend.delete_subfile(server, rname)
-            crashpoint(CP_REMOVE_MID_SUBFILES)
-
-        self._fanout_subfiles("remove", op)
+    def _undo_create_subfiles(self, norm: str, servers: Sequence[int]) -> None:
+        """Delete a failed create's subfiles, except on the servers whose
+        rows now name the path: a concurrent create that won the race
+        committed it, and those subfiles are its own."""
+        holders = self.meta.holders(norm)
+        taken = self._server_ids(holders.primary + holders.replica)
+        self._redo_remove_subfiles(
+            norm, [s for s in servers if s not in taken], point=None
+        )
 
     def _redo_rename_subfiles(
-        self, old_norm: str, new_norm: str, replicated: bool
+        self, old_norm: str, new_norm: str, replicated: bool, holders: Holders
     ) -> None:
-        def op(server: int) -> None:
-            self._rename_subfile_idempotent(server, old_norm, new_norm)
-            if replicated:
+        """Rename both subfiles on every server of ``holders``; a
+        subfile found under neither name is recreated where its row is."""
+        primary = self._server_ids(holders.primary)
+        replica = self._server_ids(holders.replica)
+        names = [(old_norm, new_norm, primary)]
+        if replicated:
+            names.append(
+                (replica_subfile(old_norm), replica_subfile(new_norm), replica)
+            )
+
+        def rename(server: int) -> None:
+            for old_name, new_name, held in names:
                 self._rename_subfile_idempotent(
-                    server,
-                    replica_subfile(old_norm),
-                    replica_subfile(new_norm),
+                    server, old_name, new_name, server in held
                 )
             crashpoint(CP_RENAME_MID_SUBFILES)
 
-        self._fanout_subfiles("rename", op)
+        self._fanout_subfiles("rename", rename, sorted({*primary, *replica}))
 
     def _rename_subfile_idempotent(
-        self, server: int, old_name: str, new_name: str
+        self, server: int, old_name: str, new_name: str, held: bool
     ) -> None:
         """Converge one subfile toward its new name, whatever the start.
 
         Old exists → rename it.  Old gone but new present → a previous
-        attempt already finished here, skip.  Neither → recreate the
-        (sparse) subfile under the new name so metadata never references
-        a missing one.
+        attempt already finished here, skip.  Neither → if the server
+        ``held`` a row for it, recreate the (sparse) subfile under the
+        new name so metadata never references a missing one.
         """
         backend = self.backend
         if backend.subfile_exists(server, old_name):
             backend.rename_subfile(server, old_name, new_name)
-        elif not backend.subfile_exists(server, new_name):
+        elif held and not backend.subfile_exists(server, new_name):
             backend.create_subfile(server, new_name)
 
     # -- replica refill (journalled; fsck --repair entry point) ----------------
@@ -687,27 +714,28 @@ class DPFS:
             replicas=hint.replicas,
         )
         # pre-flight namespace checks so no subfile is created for a
-        # request that was always going to fail (create_file re-checks
-        # the same conditions atomically inside its transaction)
+        # request that was always going to fail (create_file's insert
+        # refuses the same conditions atomically inside its transaction)
         parent, _base = split_path(norm)
         if not self.meta.dir_exists(parent):
             raise FileNotFound(f"no such directory: {parent}")
         if self.meta.file_exists(norm) or self.meta.dir_exists(norm):
             raise FileExists(norm)
-        replicated = hint.replicas > 1
+        primary, replica = self._holders(brick_map, replica_map)
         # journalled create: subfiles first, metadata commit last — a
         # crash before the commit leaves only orphan subfiles, which
-        # roll-back deletes.  The commit transaction retires the intent
-        # too: after it nothing is left to do.
+        # roll-back deletes on the servers the intent names.  The
+        # commit transaction retires the intent too: after it nothing
+        # is left to do.
         intent = self.intents.begin(
             "create",
-            {"path": norm, "replicated": replicated},
+            {"path": norm, "servers": sorted({*primary, *replica})},
             steps=["create-subfiles", "write-metadata"],
             commit_step="write-metadata",
         )
         crashpoint(CP_CREATE_AFTER_INTENT)
         try:
-            self._redo_create_subfiles(norm, replicated)
+            self._redo_create_subfiles(norm, primary, replica)
             crashpoint(CP_CREATE_AFTER_SUBFILES)
             # commit point: metadata insert + intent retirement, atomically
             with self.db.transaction():
@@ -718,13 +746,9 @@ class DPFS:
                 self.intents.retire(intent)
         except Exception:
             # undo whatever subfiles landed; if even that fails, the
-            # intent stays journalled and the next sweep rolls it back.
-            # When the path now exists in metadata, a concurrent create
-            # won the race (ours raised FileExists): the subfiles belong
-            # to the winner's file, so only the intent is dropped.
+            # intent stays journalled and the next sweep rolls it back
             try:
-                if not self.meta.file_exists(norm):
-                    self._undo_create_subfiles(norm)
+                self._undo_create_subfiles(norm, intent.args["servers"])
                 self.intents.retire(intent)
             except Exception:  # noqa: BLE001 - recovery owns the rest
                 pass
@@ -750,6 +774,11 @@ class DPFS:
                 )
 
     # -- internal hooks used by FileHandle ------------------------------------
+    @staticmethod
+    def _holders(bmap: BrickMap, rmap: ReplicaMap | None) -> list[list[int]]:
+        """Servers holding primary bricks and replica bricks."""
+        return [bmap.holders(), rmap.holders() if rmap is not None else []]
+
     def _grow_file(self, handle: FileHandle, new_size: int) -> None:
         striping = handle.striping
         assert isinstance(striping, LinearStriping)
@@ -758,6 +787,7 @@ class DPFS:
         if new_bricks:
             counts = handle.brick_map.bricks_per_server()
             replica_map = handle.replica_map
+            held = self._holders(handle.brick_map, replica_map)
             if replica_map is not None:
                 # greedy accumulated time covers replica bricks too
                 for server, bricklist in enumerate(replica_map.bricklists):
@@ -784,6 +814,19 @@ class DPFS:
                     )
             record.brick_sizes = [striping.brick_size] * len(handle.brick_map)
             record.pad_crcs()
+            # a server's first brick of the file needs a row and a
+            # subfile; the row comes first, so a grow that never commits
+            # leaves a subfile that remove and rename still reach
+            new = [
+                [s for s in now if s not in before]
+                for now, before in zip(self._holders(handle.brick_map, replica_map), held)
+            ]
+            if any(new):
+                names = self._server_names
+                self.meta.reserve_rows(
+                    record.path, Holders(*([names[s] for s in ids] for ids in new))
+                )
+                self._redo_create_subfiles(record.path, *new, CP_GROW_MID_SUBFILES)
             # grow is ONE transaction (geometry, distribution, replica
             # map, size, usage) and no intent: new bricks materialise
             # lazily on first write, so before the commit nothing

@@ -74,7 +74,8 @@ def usage_oracle(meta: "MetadataManager") -> dict[int, int]:
     usage = dict.fromkeys(order.values(), 0)
     for row in meta.db.execute(_SERVER_USAGE_SQL).rows:
         if row["server_name"] in order:
-            usage[order[row["server_name"]]] = row["used"]
+            # NULL: only empty bricklists name the server
+            usage[order[row["server_name"]]] = row["used"] or 0
     return usage
 
 

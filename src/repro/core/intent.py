@@ -247,28 +247,37 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
+def _servers(fs: "DPFS", args: dict[str, Any]) -> list[int]:
+    """The servers a create or remove intent names; an older build's
+    intent names none and reached every server."""
+    return args.get("servers", list(range(fs.backend.n_servers)))
+
+
 def _forward_create(fs: "DPFS", args: dict[str, Any]) -> None:
     # a create retires its intent in its commit transaction, so only an
-    # older build's journal can hold a committed create
-    fs._redo_create_subfiles(args["path"], bool(args.get("replicated")))
+    # older build's journal can hold a committed create: it made both
+    # subfiles on every server
+    every = list(range(fs.backend.n_servers))
+    fs._redo_create_subfiles(
+        args["path"], every, every if args.get("replicated") else []
+    )
 
 
 def _back_create(fs: "DPFS", args: dict[str, Any]) -> None:
-    # If the path exists in metadata, this (uncommitted) intent lost a
-    # create race: a concurrent winner committed and the subfiles now
-    # belong to *its* file.  Rolling them back would strand the winner.
-    if fs.meta.file_exists(args["path"]):
-        return
-    fs._undo_create_subfiles(args["path"])
+    fs._undo_create_subfiles(args["path"], _servers(fs, args))
 
 
 def _forward_remove(fs: "DPFS", args: dict[str, Any]) -> None:
-    fs._redo_remove_subfiles(args["path"])
+    fs._redo_remove_subfiles(args["path"], _servers(fs, args))
 
 
 def _forward_rename(fs: "DPFS", args: dict[str, Any]) -> None:
+    # the committed re-key moved the rows to the new name
     fs._redo_rename_subfiles(
-        args["old"], args["new"], bool(args.get("replicated"))
+        args["old"],
+        args["new"],
+        bool(args.get("replicated")),
+        fs.meta.holders(args["new"]),
     )
 
 

@@ -15,7 +15,9 @@ paper's names become underscores — SQL identifiers):
     size; ``fsck`` recounts it from the bricklists (``usage-drift``).
 ``dpfs_file_distribution``
     server_name, filename, bricklist (JSON) — how each file's bricks
-    are spread over subfiles.
+    are spread over subfiles.  A file has a row only on a server
+    holding one of its bricks (an older build wrote one, perhaps empty,
+    on every server), and its subfile exists exactly where a row does.
 ``dpfs_directory``
     main_dir, parent — the directory tree.  The paper's row holds JSON
     lists of its sub-directories and files; here every directory and
@@ -43,9 +45,10 @@ from __future__ import annotations
 
 import posixpath
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import (
+    ConstraintError,
     FileExists,
     FileNotFound,
     InvalidPath,
@@ -56,7 +59,7 @@ from .brick import BrickMap, ReplicaMap
 from .checksum import CRC_ALGORITHM
 from .striping import FileLevel
 
-__all__ = ["MetadataManager", "FileRecord", "normalize_path", "split_path"]
+__all__ = ["MetadataManager", "FileRecord", "Holders", "normalize_path", "split_path"]
 
 
 def normalize_path(path: str) -> str:
@@ -122,21 +125,32 @@ class FileRecord:
             crcs += [None] * (n - len(crcs))
 
 
+_BRICKLIST_TABLES = ("dpfs_file_distribution", "dpfs_file_replica")
+
 # One brick-size row per (server, brick) of every distribution and
-# replica bricklist.  CROSS JOIN fixes the join order: expanding the
-# bricklist first means an empty list (a server holding none of the
-# file's bricks) costs no attr lookup.
+# replica bricklist, and one row with a NULL size for an empty list (a
+# row an older build wrote for a server holding none of the file's
+# bricks).  LEFT JOIN fixes the join order: the bricklist is expanded
+# before the attr lookup.
 _BRICK_SIZES_OF = (
     "SELECT d.server_name AS server_name,"
     " json_extract(a.geometry, '$.brick_sizes[' || b.value || ']') AS size"
-    " FROM {} AS d CROSS JOIN json_each(d.bricklist) AS b"
-    " CROSS JOIN dpfs_file_attr AS a WHERE a.filename = d.filename"
+    " FROM {} AS d LEFT JOIN json_each(d.bricklist) AS b"
+    " LEFT JOIN dpfs_file_attr AS a ON a.filename = d.filename"
 )
-# The same rows for one file: what its bricks add to each server's
-# ``used`` counter.  Index lookups plus one walk of its bricklists.
+# The same rows for one file: every server holding one of its rows, and
+# what its bricks add to that server's ``used`` counter.  Index lookups
+# plus one walk of its bricklists.
 _FILE_BRICK_SIZES_SQL = " UNION ALL ".join(
-    _BRICK_SIZES_OF.format(table) + " AND d.filename = ?"
-    for table in ("dpfs_file_distribution", "dpfs_file_replica")
+    _BRICK_SIZES_OF.format(table) + " WHERE d.filename = ?"
+    for table in _BRICKLIST_TABLES
+)
+
+# a file's row servers; ``kind`` indexes :class:`Holders`
+_HOLDERS_SQL = (
+    "SELECT 0 AS kind, server_name FROM dpfs_file_distribution"
+    " WHERE filename = ? UNION ALL"
+    " SELECT 1, server_name FROM dpfs_file_replica WHERE filename = ?"
 )
 
 # Every directory and file row names its directory; the foreign key
@@ -147,6 +161,18 @@ _ANY_CHILD_SQL = (
     "SELECT 1 FROM dpfs_directory WHERE parent = ?"
     " UNION ALL SELECT 1 FROM dpfs_file_attr WHERE parent = ? LIMIT 1"
 )
+
+
+class Holders(NamedTuple):
+    """The servers (by name) holding a file's distribution rows and its
+    replica rows: where its primary and replica subfiles exist."""
+
+    primary: list[str]
+    replica: list[str]
+
+
+def _tuple_or_none(value: list | None) -> tuple | None:
+    return tuple(value) if value else None
 
 
 class MetadataManager:
@@ -387,13 +413,14 @@ class MetadataManager:
         server_names: list[str],
         replica_map: ReplicaMap | None = None,
     ) -> None:
-        """Insert attr + distribution rows, keyed to the parent directory."""
+        """Insert attr + bricklist rows, keyed to the parent directory,
+        and charge the bricks to their servers' ``used`` counters.  The
+        attr row's primary key refuses a second file of the same name
+        and its ``parent`` foreign key a missing directory."""
         norm = normalize_path(record.path)
         parent, _base = split_path(norm)
         with self.db.transaction():
-            if not self.dir_exists(parent):
-                raise FileNotFound(f"no such directory: {parent}")
-            if self.file_exists(norm) or self.dir_exists(norm):
+            if self.dir_exists(norm):
                 raise FileExists(norm)
             geometry = {
                 "array_shape": list(record.array_shape) if record.array_shape else None,
@@ -408,22 +435,32 @@ class MetadataManager:
                 "brick_crc_versions": record.brick_crc_versions,
                 "crc_algo": record.crc_algo,
             }
-            self.db.execute(
-                "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [
-                    norm,
-                    record.owner,
-                    record.permission,
-                    record.size,
-                    record.level.value,
-                    record.element_size,
-                    geometry,
-                    record.placement,
-                    parent,
-                ],
-            )
+            try:
+                self.db.execute(
+                    "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    [
+                        norm,
+                        record.owner,
+                        record.permission,
+                        record.size,
+                        record.level.value,
+                        record.element_size,
+                        {k: v for k, v in geometry.items() if v is not None},
+                        record.placement,
+                        parent,
+                    ],
+                )
+            except ConstraintError as exc:
+                if "FOREIGN KEY" in str(exc):
+                    raise FileNotFound(f"no such directory: {parent}") from exc
+                raise FileExists(norm) from exc
             self._write_bricklists(norm, brick_map, replica_map, server_names)
-            self._charge_usage(norm, 1)
+            for server, name in enumerate(server_names):
+                nbytes = brick_map.subfile_size(server)
+                if replica_map is not None:
+                    nbytes += replica_map.subfile_size(server)
+                if nbytes:
+                    self._add_used(name, nbytes)
 
     def load_file(self, path: str) -> tuple[FileRecord, BrickMap]:
         norm = normalize_path(path)
@@ -441,12 +478,12 @@ class MetadataManager:
             size=attr["size"],
             level=FileLevel(attr["filelevel"]),
             element_size=attr["element_size"],
-            array_shape=tuple(geometry["array_shape"]) if geometry["array_shape"] else None,
-            brick_shape=tuple(geometry["brick_shape"]) if geometry["brick_shape"] else None,
-            brick_size=geometry["brick_size"],
-            pattern=geometry["pattern"],
-            nprocs=geometry["nprocs"],
-            pgrid=tuple(geometry["pgrid"]) if geometry["pgrid"] else None,
+            array_shape=_tuple_or_none(geometry.get("array_shape")),
+            brick_shape=_tuple_or_none(geometry.get("brick_shape")),
+            brick_size=geometry.get("brick_size"),
+            pattern=geometry.get("pattern"),
+            nprocs=geometry.get("nprocs"),
+            pgrid=_tuple_or_none(geometry.get("pgrid")),
             placement=attr["placement"],
             brick_sizes=list(geometry["brick_sizes"]),
             replicas=geometry.get("replicas", 1),
@@ -585,14 +622,14 @@ class MetadataManager:
         server_names: list[str],
     ) -> None:
         """Insert or replace a file's bricklist rows: one distribution
-        row per server, one replica row per server holding replica
-        bricks (caller holds the transaction)."""
+        row per server holding bricks, one replica row per server
+        holding replica bricks (caller holds the transaction)."""
         tables = [("dpfs_file_distribution", brick_map.to_lists())]
         if replica_map is not None:
             tables.append(("dpfs_file_replica", replica_map.to_lists()))
         for table, lists in tables:
             for server, bricklist in enumerate(lists):
-                if bricklist or table == "dpfs_file_distribution":
+                if bricklist:
                     self.db.execute(
                         f"INSERT INTO {table} VALUES (?, ?, ?, ?)"
                         " ON CONFLICT (dist_id)"
@@ -604,6 +641,27 @@ class MetadataManager:
                             bricklist,
                         ],
                     )
+
+    def reserve_rows(self, path: str, holders: Holders) -> None:
+        """Give a file an empty row on each named server lacking one, so
+        remove and rename reach a subfile grow makes there even if the
+        grow never commits."""
+        norm = normalize_path(path)
+        with self.db.transaction():
+            for table, names in zip(_BRICKLIST_TABLES, holders):
+                for name in names:
+                    self.db.execute(
+                        f"INSERT INTO {table} VALUES (?, ?, ?, '[]')"
+                        " ON CONFLICT (dist_id) DO NOTHING",
+                        [f"{name}|{norm}", name, norm],
+                    )
+
+    def holders(self, path: str) -> Holders:
+        """The servers holding the file's rows."""
+        holders = Holders([], [])
+        for row in self.db.execute(_HOLDERS_SQL, [normalize_path(path)] * 2):
+            holders[row["kind"]].append(row["server_name"])
+        return holders
 
     def grow_file(
         self,
@@ -633,47 +691,49 @@ class MetadataManager:
             )
             self._charge_usage(norm, 1)
 
-    def _charge_usage(self, norm: str, sign: int) -> None:
+    def _add_used(self, server_name: str, nbytes: int) -> None:
+        self.db.execute(
+            "UPDATE dpfs_server SET used = used + ? WHERE server_name = ?",
+            [nbytes, server_name],
+        )
+
+    def _charge_usage(self, norm: str, sign: int) -> list[str]:
         """Add (``sign=1``) or subtract (``-1``) one file's bricks to or
-        from each server's ``used`` counter (caller holds the txn)."""
+        from each server's ``used`` counter (caller holds the txn).
+        Returns every server holding a row of the file, by name."""
         by_server: dict[str, int] = {}
         for row in self.db.execute(_FILE_BRICK_SIZES_SQL, [norm, norm]).rows:
             name = row["server_name"]
             by_server[name] = by_server.get(name, 0) + (row["size"] or 0)
         for name, nbytes in by_server.items():
-            self.db.execute(
-                "UPDATE dpfs_server SET used = used + ? WHERE server_name = ?",
-                [sign * nbytes, name],
-            )
+            if nbytes:
+                self._add_used(name, sign * nbytes)
+        return list(by_server)
 
-    def remove_file(self, path: str) -> None:
+    def remove_file(self, path: str) -> list[str]:
+        """Drop a file's rows and uncharge its bricks; returns the
+        servers that held its rows, by name."""
         norm = normalize_path(path)
         with self.db.transaction():
-            if not self.file_exists(norm):
-                raise FileNotFound(norm)
-            self._charge_usage(norm, -1)
-            self.db.execute(
+            servers = self._charge_usage(norm, -1)
+            deleted = self.db.execute(
                 "DELETE FROM dpfs_file_attr WHERE filename = ?", [norm]
             )
-            self.db.execute(
-                "DELETE FROM dpfs_file_distribution WHERE filename = ?",
-                [norm],
-            )
-            self.db.execute(
-                "DELETE FROM dpfs_file_replica WHERE filename = ?",
-                [norm],
-            )
+            if not deleted.rowcount:
+                raise FileNotFound(norm)
+            for table in _BRICKLIST_TABLES:
+                self.db.execute(f"DELETE FROM {table} WHERE filename = ?", [norm])
+        return servers
 
-    def rename_file(self, old: str, new: str) -> None:
-        """mv: re-key a file's attr (name and parent) and distribution rows.
+    def rename_file(self, old: str, new: str) -> tuple[bool, Holders]:
+        """mv: re-key a file's attr (name and parent) and bricklist rows.
 
-        Directories cannot be renamed (children embed the parent path);
-        the shell's ``mv`` therefore applies to files only.
+        Returns whether the file is replicated and the servers holding
+        its rows.  Directories cannot be renamed (children embed the
+        parent path); the shell's ``mv`` therefore applies to files only.
         """
         old_norm = normalize_path(old)
         new_norm = normalize_path(new)
-        if old_norm == new_norm:
-            return
         new_parent, _base = split_path(new_norm)
         with self.db.transaction():
             if not self.file_exists(old_norm):
@@ -686,27 +746,24 @@ class MetadataManager:
                 raise FileExists(new_norm)
             if not self.dir_exists(new_parent):
                 raise FileNotFound(f"no such directory: {new_parent}")
-            self.db.execute(
+            replicas = self.db.execute(
                 "UPDATE dpfs_file_attr SET filename = ?, parent = ?"
-                " WHERE filename = ?",
+                " WHERE filename = ?"
+                " RETURNING json_extract(geometry, '$.replicas')",
                 [new_norm, new_parent, old_norm],
-            )
-            for table in ("dpfs_file_distribution", "dpfs_file_replica"):
-                rows = self.db.execute(
-                    f"SELECT dist_id, server_name FROM {table} "
-                    "WHERE filename = ?",
-                    [old_norm],
-                ).rows
-                for row in rows:
-                    self.db.execute(
-                        f"UPDATE {table} SET dist_id = ?, "
-                        "filename = ? WHERE dist_id = ?",
-                        [
-                            f"{row['server_name']}|{new_norm}",
-                            new_norm,
-                            row["dist_id"],
-                        ],
+            ).scalar()
+            rekeyed = [
+                [
+                    row["server_name"]
+                    for row in self.db.execute(
+                        f"UPDATE {table} SET dist_id = server_name || '|' || ?,"
+                        " filename = ? WHERE filename = ? RETURNING server_name",
+                        [new_norm, new_norm, old_norm],
                     )
+                ]
+                for table in _BRICKLIST_TABLES
+            ]
+        return (replicas or 1) > 1, Holders(*rekeyed)
 
     def tree_usage(self, path: str) -> int:
         """Total logical bytes of all files at or under ``path`` (du)."""

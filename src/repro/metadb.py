@@ -14,8 +14,9 @@ manager speaks plain SQL with transactions, exactly as §5 describes.
 Durability point: a file database runs ``journal_mode=WAL`` with
 ``synchronous=FULL``, so a transaction is on disk when COMMIT returns.
 Foreign keys are enforced on every connection.  Columns declared
-``JSON`` hold ``json.dumps`` text and come back decoded; list and dict
-parameters are encoded on the way in.
+``JSON`` hold compact ``json.dumps`` text (no spaces after separators)
+and come back decoded; list and dict parameters are encoded on the way
+in.
 """
 
 from __future__ import annotations
@@ -100,7 +101,10 @@ class Database:
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Execute one SQL statement (thread-safe)."""
         args = [
-            json.dumps(p) if isinstance(p, (list, dict)) else p for p in params
+            json.dumps(p, separators=(",", ":"))
+            if isinstance(p, (list, dict))
+            else p
+            for p in params
         ]
         with self._lock:
             try:

@@ -302,13 +302,13 @@ def cmd_stat(state: "ShellState", args: list[str]) -> str:
         f"level:      {st['filelevel']}   element size: {st['element_size']}",
         f"placement:  {st['placement']}",
     ]
-    if geometry["array_shape"]:
+    if geometry.get("array_shape"):
         lines.append(f"array:      {'x'.join(map(str, geometry['array_shape']))}")
-    if geometry["brick_shape"]:
+    if geometry.get("brick_shape"):
         lines.append(f"brick:      {'x'.join(map(str, geometry['brick_shape']))}")
-    if geometry["pattern"]:
+    if geometry.get("pattern"):
         lines.append(
-            f"pattern:    {geometry['pattern']}   nprocs: {geometry['nprocs']}"
+            f"pattern:    {geometry['pattern']}   nprocs: {geometry.get('nprocs')}"
         )
     lines.append(f"bricks:     {len(geometry['brick_sizes'])}")
     return "\n".join(lines)

@@ -1,10 +1,13 @@
-"""Durable-commit budget per mutation.
+"""Durable-commit and statement budgets per mutation.
 
 A durable commit is an explicit COMMIT, or a row-changing statement
 that runs outside a transaction and so commits on its own; on a file
 database each one is a WAL fsync.  Budgets: create 2 (+1 for the
 write's checksum transaction), remove 2, rename 2, grow 1, refill 2;
 a read commits nothing.
+
+Statements (BEGIN and COMMIT included) of a one-brick file on four
+servers: create + 4 KiB write 19, rename 13, remove 11.
 """
 
 import pytest
@@ -20,12 +23,14 @@ _WRITES = ("INSERT", "UPDATE", "DELETE", "REPLACE")
 
 
 class CountingDatabase(Database):
-    """A :class:`Database` that counts its durable commits."""
+    """A :class:`Database` that counts its statements and durable commits."""
 
     commits = 0
+    statements = 0
 
     def execute(self, sql, params=()):
         autocommit = not self.in_transaction
+        self.statements += 1
         result = super().execute(sql, params)
         if sql == "COMMIT" or (
             autocommit and sql.lstrip().upper().startswith(_WRITES)
@@ -83,3 +88,17 @@ def test_refill_commits_twice(fs):
 
 def test_read_commits_nothing(fs):
     assert commits(fs, fs.read_file, "/d/f") == 0
+
+
+def statements(fs, fn, *args):
+    before = fs.db.statements
+    fn(*args)
+    return fs.db.statements - before
+
+
+def test_one_brick_file_statement_budgets(fs):
+    small = bytes(4096)
+    hint = Hint.linear(file_size=len(small), brick_size=len(small))
+    assert statements(fs, fs.write_file, "/d/s", small, hint) <= 19
+    assert statements(fs, fs.rename, "/d/s", "/d/t") <= 13
+    assert statements(fs, fs.remove, "/d/t") <= 11

@@ -11,7 +11,8 @@ same backend + metadata database.  Mount-time recovery must leave:
 - a clean ``scrub`` (no torn or diverged data),
 - per-server usage counters equal to the bricklists' sum (the fsck
   oracle),
-- the file in exactly its old or its new state — never torn.
+- the file in exactly its old or its new state — never torn,
+- no subfile that removing every file leaves behind.
 
 Writes are not journalled: a crash between a write's data landing and
 its checksum commit leaves stale checksums, which scrub must report
@@ -125,6 +126,19 @@ def _check_grow(fs, ctx):
     assert fs.read_file("/d/f")[: len(DATA)] == DATA
 
 
+def _setup_grow_out(fs):
+    # one brick on one server: growth reaches servers holding none of it
+    fs.makedirs("/d")
+    fs.write_file("/d/f", DATA[:BRICK], lhint(BRICK))
+    return {"new_size": 4 * BRICK}
+
+
+def _check_grow_out(fs, ctx):
+    record, _ = fs.meta.load_file("/d/f")
+    assert record.size in (BRICK, ctx["new_size"])
+    assert fs.read_file("/d/f")[:BRICK] == DATA[:BRICK]
+
+
 def _setup_write(fs):
     fs.makedirs("/d")
     fs.write_file("/d/f", DATA, lhint(len(DATA), replicas=2))
@@ -171,6 +185,7 @@ OPS = {
     "remove": (_setup_remove, _crash_remove, _check_remove),
     "rename": (_setup_rename, _crash_rename, _check_rename),
     "grow": (_setup_grow, _crash_grow, _check_grow),
+    "grow_out": (_setup_grow_out, _crash_grow, _check_grow_out),
     "refill": (_setup_refill, _crash_refill, _check_refill),
     "write": (_setup_write, _crash_write, _check_write),
 }
@@ -194,6 +209,7 @@ SWEEP = [
     ("rename", "filesystem.rename.mid_subfiles"),
     ("rename", "filesystem.rename.after_subfiles"),
     ("grow", "filesystem.grow.in_commit"),
+    ("grow_out", "filesystem.grow.mid_subfiles"),
     ("refill", "filesystem.refill.after_intent"),
     ("refill", "filesystem.refill.mid_copy"),
     ("refill", "filesystem.refill.after_copy"),
@@ -236,6 +252,11 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
     sreport = scrub(fs2)
     assert sreport.clean, str(sreport)
     check(fs2, ctx)
+    # every subfile left is reachable through metadata: removing every
+    # file leaves no subfile on any server
+    for path in fs2.meta.iter_files():
+        fs2.remove(path)
+    assert [backend.list_subfiles(s) for s in range(4)] == [[]] * 4
 
 
 def test_commit_step_mark_is_atomic_with_the_commit():

@@ -228,8 +228,8 @@ def test_create_loser_keeps_winners_subfiles():
     # before its metadata commit), the winner commits the same path
     real_create_subfiles = fs._redo_create_subfiles
 
-    def create_subfiles_then_lose_race(norm, replicated):
-        real_create_subfiles(norm, replicated)
+    def create_subfiles_then_lose_race(norm, primary, replica):
+        real_create_subfiles(norm, primary, replica)
         winner.write_file("/d/f", payload, lhint(BRICK))
 
     fs._redo_create_subfiles = create_subfiles_then_lose_race
