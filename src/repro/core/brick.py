@@ -138,6 +138,10 @@ class BrickMap:
         """Servers holding at least one brick, ascending."""
         return [s for s in range(self.n_servers) if self._server_tail[s]]
 
+    def copy(self) -> "BrickMap":
+        """A map that :meth:`append` can extend without touching this one."""
+        return BrickMap(self.n_servers, list(self.locations), list(self._server_tail))
+
     def bricks_per_server(self) -> list[int]:
         counts = [0] * self.n_servers
         for loc in self.locations:
@@ -274,6 +278,10 @@ class ReplicaMap:
 
     def to_lists(self) -> list[list[int]]:
         return [list(bl) for bl in self.bricklists]
+
+    def copy(self) -> "ReplicaMap":
+        """A map that :meth:`append` can extend without touching this one."""
+        return ReplicaMap.build(self.n_servers, self.bricklists, self._sizes)
 
     @classmethod
     def empty(cls, n_servers: int, sizes: Sequence[int]) -> "ReplicaMap":

@@ -350,7 +350,7 @@ class DPFS:
         """
         norm = normalize_path(path)
         with self.db.transaction():
-            servers = self._server_ids(self.meta.remove_file(norm))
+            servers = self.meta.remove_file(norm)
             crashpoint(CP_REMOVE_IN_COMMIT)
             intent = self.intents.begin(
                 "remove",
@@ -397,10 +397,6 @@ class DPFS:
         self.intents.retire(intent)
 
     # -- journalled per-server fan-out (shared with crash recovery) ------------
-    def _server_ids(self, names) -> list[int]:
-        """Backend indices of the named servers, ascending."""
-        return [i for i, name in enumerate(self._server_names) if name in names]
-
     def _fanout_subfiles(self, op: str, fn, servers: Sequence[int]) -> None:
         """Run ``fn(server)`` on each of ``servers`` through the dispatcher.
 
@@ -458,8 +454,7 @@ class DPFS:
         """Delete a failed create's subfiles, except on the servers whose
         rows now name the path: a concurrent create that won the race
         committed it, and those subfiles are its own."""
-        holders = self.meta.holders(norm)
-        taken = self._server_ids(holders.primary + holders.replica)
+        taken = self.meta.holders(norm).servers()
         self._redo_remove_subfiles(
             norm, [s for s in servers if s not in taken], point=None
         )
@@ -469,12 +464,10 @@ class DPFS:
     ) -> None:
         """Rename both subfiles on every server of ``holders``; a
         subfile found under neither name is recreated where its row is."""
-        primary = self._server_ids(holders.primary)
-        replica = self._server_ids(holders.replica)
-        names = [(old_norm, new_norm, primary)]
+        names = [(old_norm, new_norm, holders.primary)]
         if replicated:
             names.append(
-                (replica_subfile(old_norm), replica_subfile(new_norm), replica)
+                (replica_subfile(old_norm), replica_subfile(new_norm), holders.replica)
             )
 
         def rename(server: int) -> None:
@@ -484,7 +477,7 @@ class DPFS:
                 )
             crashpoint(CP_RENAME_MID_SUBFILES)
 
-        self._fanout_subfiles("rename", rename, sorted({*primary, *replica}))
+        self._fanout_subfiles("rename", rename, holders.servers())
 
     def _rename_subfile_idempotent(
         self, server: int, old_name: str, new_name: str, held: bool
@@ -721,7 +714,7 @@ class DPFS:
             raise FileNotFound(f"no such directory: {parent}")
         if self.meta.file_exists(norm) or self.meta.dir_exists(norm):
             raise FileExists(norm)
-        primary, replica = self._holders(brick_map, replica_map)
+        holders = Holders.of(brick_map, replica_map)
         # journalled create: subfiles first, metadata commit last — a
         # crash before the commit leaves only orphan subfiles, which
         # roll-back deletes on the servers the intent names.  The
@@ -729,13 +722,13 @@ class DPFS:
         # is left to do.
         intent = self.intents.begin(
             "create",
-            {"path": norm, "servers": sorted({*primary, *replica})},
+            {"path": norm, "servers": holders.servers()},
             steps=["create-subfiles", "write-metadata"],
             commit_step="write-metadata",
         )
         crashpoint(CP_CREATE_AFTER_INTENT)
         try:
-            self._redo_create_subfiles(norm, primary, replica)
+            self._redo_create_subfiles(norm, *holders)
             crashpoint(CP_CREATE_AFTER_SUBFILES)
             # commit point: metadata insert + intent retirement, atomically
             with self.db.transaction():
@@ -774,20 +767,27 @@ class DPFS:
                 )
 
     # -- internal hooks used by FileHandle ------------------------------------
-    @staticmethod
-    def _holders(bmap: BrickMap, rmap: ReplicaMap | None) -> list[list[int]]:
-        """Servers holding primary bricks and replica bricks."""
-        return [bmap.holders(), rmap.holders() if rmap is not None else []]
-
     def _grow_file(self, handle: FileHandle, new_size: int) -> None:
         striping = handle.striping
         assert isinstance(striping, LinearStriping)
         record = handle.record
+        old_size = striping.file_size
         new_bricks = striping.grow_to(new_size)
-        if new_bricks:
-            counts = handle.brick_map.bricks_per_server()
-            replica_map = handle.replica_map
-            held = self._holders(handle.brick_map, replica_map)
+        if not new_bricks:
+            # no new bricks: the size update is a single (atomic) statement
+            self.meta.update_file_size(record.path, new_size)
+            record.size = new_size
+            return
+        # the new bricks go on copies of the maps, installed on the
+        # handle only once the grow has committed: a grow that fails
+        # leaves the handle as it was, so a retried write grows again
+        try:
+            brick_map = handle.brick_map.copy()
+            replica_map = (
+                handle.replica_map.copy() if handle.replica_map is not None else None
+            )
+            held = Holders.of(brick_map, replica_map)
+            counts = brick_map.bricks_per_server()
             if replica_map is not None:
                 # greedy accumulated time covers replica bricks too
                 for server, bricklist in enumerate(replica_map.bricklists):
@@ -798,52 +798,50 @@ class DPFS:
             else:
                 policy = RoundRobin(
                     self.backend.n_servers,
-                    start=len(handle.brick_map) * record.replicas,
+                    start=len(brick_map) * record.replicas,
                 )
             for _ in range(new_bricks):
                 if record.replicas > 1 and replica_map is not None:
-                    brick_id = len(handle.brick_map)
+                    brick_id = len(brick_map)
                     servers = policy.assign_replicas(record.replicas)
-                    handle.brick_map.append(servers[0], striping.brick_size)
-                    replica_map.append(
-                        brick_id, servers[1:], striping.brick_size
-                    )
+                    brick_map.append(servers[0], striping.brick_size)
+                    replica_map.append(brick_id, servers[1:], striping.brick_size)
                 else:
-                    handle.brick_map.append(
-                        policy.assign_next(), striping.brick_size
-                    )
-            record.brick_sizes = [striping.brick_size] * len(handle.brick_map)
-            record.pad_crcs()
+                    brick_map.append(policy.assign_next(), striping.brick_size)
+            brick_sizes = [striping.brick_size] * len(brick_map)
             # a server's first brick of the file needs a row and a
             # subfile; the row comes first, so a grow that never commits
-            # leaves a subfile that remove and rename still reach
-            new = [
-                [s for s in now if s not in before]
-                for now, before in zip(self._holders(handle.brick_map, replica_map), held)
-            ]
-            if any(new):
-                names = self._server_names
-                self.meta.reserve_rows(
-                    record.path, Holders(*([names[s] for s in ids] for ids in new))
+            # leaves a subfile that remove and rename still reach, and
+            # the next grow reuses both
+            new = Holders(
+                *(
+                    [s for s in now if s not in before]
+                    for now, before in zip(Holders.of(brick_map, replica_map), held)
                 )
+            )
+            if any(new):
+                self.meta.reserve_rows(record.path, new, self._server_names)
                 self._redo_create_subfiles(record.path, *new, CP_GROW_MID_SUBFILES)
-            # grow is ONE transaction (geometry, distribution, replica
-            # map, size, usage) and no intent: new bricks materialise
-            # lazily on first write, so before the commit nothing
-            # happened and after it nothing is left to do.
+            # commit point: ONE transaction (geometry, distribution,
+            # replica map, size, usage) and no intent — the new bricks
+            # materialise lazily on first write, so after it nothing is
+            # left to do
             with self.db.transaction():
                 self.meta.grow_file(
                     record.path,
-                    handle.brick_map,
-                    record.brick_sizes,
+                    brick_map,
+                    brick_sizes,
                     self._server_names,
                     replica_map if record.replicas > 1 else None,
                     new_size,
                 )
                 crashpoint(CP_GROW_IN_COMMIT)
-        else:
-            # no new bricks: the size update is a single (atomic) statement
-            self.meta.update_file_size(record.path, new_size)
+        except BaseException:
+            striping.file_size = old_size
+            raise
+        handle.brick_map, handle.replica_map = brick_map, replica_map
+        record.brick_sizes = brick_sizes
+        record.pad_crcs()
         record.size = new_size
 
     # -- convenience -----------------------------------------------------------

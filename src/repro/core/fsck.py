@@ -17,8 +17,8 @@ repairs) drift between them:
 ``missing-replica``    a replica bricklist references a server where the
                        replica subfile does not exist (repair: recreate
                        and refill every replica brick from its primary)
-``orphan-subfile``     a server holds a subfile no metadata references
-                       (repair: delete)
+``orphan-subfile``     a server holds a subfile no row of its file names
+                       that server for (repair: delete)
 ``bad-brick-map``      a file's distribution rows are not a permutation of
                        its bricks (unrepairable: reported only)
 ``usage-drift``        a server's ``used`` counter in ``dpfs_server``
@@ -60,22 +60,20 @@ __all__ = ["Finding", "FsckReport", "fsck", "rewrite_usage", "usage_oracle"]
 # namespace, so only fsck (and the one-time fill of a root written
 # before the counters existed) runs it.
 _SERVER_USAGE_SQL = (
-    "SELECT server_name, SUM(size) AS used FROM ("
+    "SELECT server_id, SUM(size) AS used FROM ("
     + _BRICK_SIZES_OF.format("dpfs_file_distribution")
     + " UNION ALL "
     + _BRICK_SIZES_OF.format("dpfs_file_replica")
-    + ") GROUP BY server_name"
+    + ") GROUP BY server_id"
 )
 
 
 def usage_oracle(meta: "MetadataManager") -> dict[int, int]:
     """Physical bytes each server holds, recounted from the bricklists."""
-    order = {row["server_name"]: row["server_id"] for row in meta.servers()}
-    usage = dict.fromkeys(order.values(), 0)
+    usage = {row["server_id"]: 0 for row in meta.servers()}
     for row in meta.db.execute(_SERVER_USAGE_SQL).rows:
-        if row["server_name"] in order:
-            # NULL: only empty bricklists name the server
-            usage[order[row["server_name"]]] = row["used"] or 0
+        # NULL: only empty bricklists name the server
+        usage[row["server_id"]] = row["used"] or 0
     return usage
 
 
@@ -164,12 +162,15 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                 )
             )
 
-    referenced: set[str] = set()
+    # (server, subfile name) pairs some row names: a file's subfile
+    # belongs on the servers holding its rows, and nowhere else
+    referenced: set[tuple[int, str]] = set()
 
     # -- pass 1: every file's brick map and subfiles --------------------------
     for path in meta.iter_files():
         report.files_checked += 1
-        referenced.add(path)
+        holders = meta.holders(path)
+        referenced.update((server, path) for server in holders.primary)
         try:
             record, bmap = meta.load_file(path)
         except DPFSError as exc:
@@ -195,7 +196,13 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                 )
         if record.replicas > 1:
             rname = replica_subfile(path)
-            referenced.add(rname)
+            # remove and rename reach both names on every row server (an
+            # older build made both subfiles on every server)
+            referenced.update(
+                (server, name)
+                for server in holders.servers()
+                for name in (path, rname)
+            )
             try:
                 rmap = meta.load_replica_map(path, record)
             except DPFSError as exc:
@@ -260,7 +267,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
     # -- pass 3: orphan subfiles on the servers --------------------------------
     for server in range(backend.n_servers):
         for name in backend.list_subfiles(server):
-            if name not in referenced:
+            if (server, name) not in referenced:
                 repaired = False
                 if repair:
                     backend.delete_subfile(server, name)
@@ -269,7 +276,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                     Finding(
                         "orphan-subfile",
                         name,
-                        f"server {server} holds a subfile no metadata references",
+                        f"server {server} holds a subfile but no row of its file",
                         repaired,
                     )
                 )

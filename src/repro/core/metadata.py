@@ -127,15 +127,19 @@ class FileRecord:
 
 _BRICKLIST_TABLES = ("dpfs_file_distribution", "dpfs_file_replica")
 
+# A bricklist row's server id: the backend index ``server_name`` was
+# registered under.  CROSS JOIN keeps the row table first in the plan.
+_ROW_SERVER = "{} AS d CROSS JOIN dpfs_server AS s ON s.server_name = d.server_name"
+
 # One brick-size row per (server, brick) of every distribution and
 # replica bricklist, and one row with a NULL size for an empty list (a
 # row an older build wrote for a server holding none of the file's
 # bricks).  LEFT JOIN fixes the join order: the bricklist is expanded
 # before the attr lookup.
 _BRICK_SIZES_OF = (
-    "SELECT d.server_name AS server_name,"
+    "SELECT s.server_id AS server_id,"
     " json_extract(a.geometry, '$.brick_sizes[' || b.value || ']') AS size"
-    " FROM {} AS d LEFT JOIN json_each(d.bricklist) AS b"
+    f" FROM {_ROW_SERVER} LEFT JOIN json_each(d.bricklist) AS b"
     " LEFT JOIN dpfs_file_attr AS a ON a.filename = d.filename"
 )
 # The same rows for one file: every server holding one of its rows, and
@@ -147,16 +151,20 @@ _FILE_BRICK_SIZES_SQL = " UNION ALL ".join(
 )
 
 # a file's row servers; ``kind`` indexes :class:`Holders`
-_HOLDERS_SQL = (
-    "SELECT 0 AS kind, server_name FROM dpfs_file_distribution"
-    " WHERE filename = ? UNION ALL"
-    " SELECT 1, server_name FROM dpfs_file_replica WHERE filename = ?"
+_HOLDERS_SQL = " UNION ALL ".join(
+    f"SELECT {kind} AS kind, s.server_id AS server_id"
+    f" FROM {_ROW_SERVER.format(table)} WHERE d.filename = ?"
+    for kind, table in enumerate(_BRICKLIST_TABLES)
 )
 
 # Every directory and file row names its directory; the foreign key
 # (enforced: ``Database`` turns ``foreign_keys`` on) is the only record
 # of membership.
 _PARENT_COLUMN = "parent TEXT REFERENCES dpfs_directory (main_dir)"
+# sqlite's messages for a file attr insert refused by its primary key
+# and by its ``parent`` foreign key
+_DUPLICATE_FILE = "UNIQUE constraint failed: dpfs_file_attr.filename"
+_NO_PARENT = "FOREIGN KEY constraint failed"
 _ANY_CHILD_SQL = (
     "SELECT 1 FROM dpfs_directory WHERE parent = ?"
     " UNION ALL SELECT 1 FROM dpfs_file_attr WHERE parent = ? LIMIT 1"
@@ -164,11 +172,23 @@ _ANY_CHILD_SQL = (
 
 
 class Holders(NamedTuple):
-    """The servers (by name) holding a file's distribution rows and its
-    replica rows: where its primary and replica subfiles exist."""
+    """The servers (backend indices) holding a file's distribution rows
+    and its replica rows: where its primary and replica subfiles exist."""
 
-    primary: list[str]
-    replica: list[str]
+    primary: list[int]
+    replica: list[int]
+
+    @classmethod
+    def of(cls, brick_map: BrickMap, replica_map: ReplicaMap | None) -> "Holders":
+        """The servers holding primary bricks and replica bricks."""
+        return cls(
+            brick_map.holders(),
+            replica_map.holders() if replica_map is not None else [],
+        )
+
+    def servers(self) -> list[int]:
+        """Every server holding a row of either kind, ascending."""
+        return sorted({*self.primary, *self.replica})
 
 
 def _tuple_or_none(value: list | None) -> tuple | None:
@@ -451,16 +471,18 @@ class MetadataManager:
                     ],
                 )
             except ConstraintError as exc:
-                if "FOREIGN KEY" in str(exc):
+                if str(exc) == _DUPLICATE_FILE:
+                    raise FileExists(norm) from exc
+                if str(exc) == _NO_PARENT:
                     raise FileNotFound(f"no such directory: {parent}") from exc
-                raise FileExists(norm) from exc
+                raise
             self._write_bricklists(norm, brick_map, replica_map, server_names)
-            for server, name in enumerate(server_names):
+            for server in range(len(server_names)):
                 nbytes = brick_map.subfile_size(server)
                 if replica_map is not None:
                     nbytes += replica_map.subfile_size(server)
                 if nbytes:
-                    self._add_used(name, nbytes)
+                    self._add_used(server, nbytes)
 
     def load_file(self, path: str) -> tuple[FileRecord, BrickMap]:
         norm = normalize_path(path)
@@ -642,14 +664,17 @@ class MetadataManager:
                         ],
                     )
 
-    def reserve_rows(self, path: str, holders: Holders) -> None:
-        """Give a file an empty row on each named server lacking one, so
-        remove and rename reach a subfile grow makes there even if the
-        grow never commits."""
+    def reserve_rows(
+        self, path: str, holders: Holders, server_names: list[str]
+    ) -> None:
+        """Give a file an empty row on each of ``holders``' servers
+        lacking one, so remove and rename reach a subfile grow makes
+        there even if the grow never commits."""
         norm = normalize_path(path)
         with self.db.transaction():
-            for table, names in zip(_BRICKLIST_TABLES, holders):
-                for name in names:
+            for table, servers in zip(_BRICKLIST_TABLES, holders):
+                for server in servers:
+                    name = server_names[server]
                     self.db.execute(
                         f"INSERT INTO {table} VALUES (?, ?, ?, '[]')"
                         " ON CONFLICT (dist_id) DO NOTHING",
@@ -660,7 +685,7 @@ class MetadataManager:
         """The servers holding the file's rows."""
         holders = Holders([], [])
         for row in self.db.execute(_HOLDERS_SQL, [normalize_path(path)] * 2):
-            holders[row["kind"]].append(row["server_name"])
+            holders[row["kind"]].append(row["server_id"])
         return holders
 
     def grow_file(
@@ -677,8 +702,9 @@ class MetadataManager:
 
         One transaction makes growth all-or-nothing, which is why grow
         needs no intent: new bricks materialise lazily on first write,
-        so before the commit nothing happened and after it nothing is
-        left to do.
+        so after the commit nothing is left to do, and before it at most
+        empty rows (:meth:`reserve_rows`) and empty subfiles exist,
+        which remove, rename and the next grow reach.
         """
         norm = normalize_path(path)
         with self.db.transaction():
@@ -691,28 +717,28 @@ class MetadataManager:
             )
             self._charge_usage(norm, 1)
 
-    def _add_used(self, server_name: str, nbytes: int) -> None:
+    def _add_used(self, server: int, nbytes: int) -> None:
         self.db.execute(
-            "UPDATE dpfs_server SET used = used + ? WHERE server_name = ?",
-            [nbytes, server_name],
+            "UPDATE dpfs_server SET used = used + ? WHERE server_id = ?",
+            [nbytes, server],
         )
 
-    def _charge_usage(self, norm: str, sign: int) -> list[str]:
+    def _charge_usage(self, norm: str, sign: int) -> list[int]:
         """Add (``sign=1``) or subtract (``-1``) one file's bricks to or
         from each server's ``used`` counter (caller holds the txn).
-        Returns every server holding a row of the file, by name."""
-        by_server: dict[str, int] = {}
+        Returns every server holding a row of the file, ascending."""
+        by_server: dict[int, int] = {}
         for row in self.db.execute(_FILE_BRICK_SIZES_SQL, [norm, norm]).rows:
-            name = row["server_name"]
-            by_server[name] = by_server.get(name, 0) + (row["size"] or 0)
-        for name, nbytes in by_server.items():
+            server = row["server_id"]
+            by_server[server] = by_server.get(server, 0) + (row["size"] or 0)
+        for server, nbytes in by_server.items():
             if nbytes:
-                self._add_used(name, sign * nbytes)
-        return list(by_server)
+                self._add_used(server, sign * nbytes)
+        return sorted(by_server)
 
-    def remove_file(self, path: str) -> list[str]:
+    def remove_file(self, path: str) -> list[int]:
         """Drop a file's rows and uncharge its bricks; returns the
-        servers that held its rows, by name."""
+        servers that held its rows."""
         norm = normalize_path(path)
         with self.db.transaction():
             servers = self._charge_usage(norm, -1)
@@ -752,18 +778,13 @@ class MetadataManager:
                 " RETURNING json_extract(geometry, '$.replicas')",
                 [new_norm, new_parent, old_norm],
             ).scalar()
-            rekeyed = [
-                [
-                    row["server_name"]
-                    for row in self.db.execute(
-                        f"UPDATE {table} SET dist_id = server_name || '|' || ?,"
-                        " filename = ? WHERE filename = ? RETURNING server_name",
-                        [new_norm, new_norm, old_norm],
-                    )
-                ]
-                for table in _BRICKLIST_TABLES
-            ]
-        return (replicas or 1) > 1, Holders(*rekeyed)
+            for table in _BRICKLIST_TABLES:
+                self.db.execute(
+                    f"UPDATE {table} SET dist_id = server_name || '|' || ?,"
+                    " filename = ? WHERE filename = ?",
+                    [new_norm, new_norm, old_norm],
+                )
+            return (replicas or 1) > 1, self.holders(new_norm)
 
     def tree_usage(self, path: str) -> int:
         """Total logical bytes of all files at or under ``path`` (du)."""

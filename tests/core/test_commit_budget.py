@@ -7,7 +7,7 @@ write's checksum transaction), remove 2, rename 2, grow 1, refill 2;
 a read commits nothing.
 
 Statements (BEGIN and COMMIT included) of a one-brick file on four
-servers: create + 4 KiB write 19, rename 13, remove 11.
+servers: create + 4 KiB write 19, rename 14, remove 11.
 """
 
 import pytest
@@ -100,5 +100,5 @@ def test_one_brick_file_statement_budgets(fs):
     small = bytes(4096)
     hint = Hint.linear(file_size=len(small), brick_size=len(small))
     assert statements(fs, fs.write_file, "/d/s", small, hint) <= 19
-    assert statements(fs, fs.rename, "/d/s", "/d/t") <= 13
+    assert statements(fs, fs.rename, "/d/s", "/d/t") <= 14
     assert statements(fs, fs.remove, "/d/t") <= 11

@@ -10,13 +10,21 @@ fan-out.
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.backends.faulty import FaultyBackend
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint, fsck
 from repro.core.brick import replica_subfile
-from repro.errors import FileExists
+from repro.errors import (
+    ConstraintError,
+    FileExists,
+    FileNotFound,
+    MetaDBError,
+    MultiServerError,
+)
 from repro.metadb import Database
 
 BRICK = 4096
@@ -115,6 +123,80 @@ def test_growing_onto_a_new_server_adds_its_row_and_subfile(fs):
     assert fsck(fs).clean
     fs.remove("/f")
     assert subfiles(fs) == set()
+
+
+def _fail_subfile_create_on_server_1(fs):
+    fs.backend.fail_on("create", server=1)
+
+
+def _fail_grow_commit_once(fs):
+    def fail_once(*args):
+        del fs.meta.grow_file  # the class's method again
+        raise MetaDBError("injected grow commit fault")
+
+    fs.meta.grow_file = fail_once
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        (_fail_subfile_create_on_server_1, MultiServerError),
+        (_fail_grow_commit_once, MetaDBError),
+    ],
+)
+def test_failed_grow_leaves_the_handle_as_it_was(fault, error):
+    """A grow that fails before its commit changes nothing the handle
+    holds, so the same write on the same handle, retried, grows the
+    file and commits every row it needs."""
+    fs = DPFS(FaultyBackend(MemoryBackend(4)), auto_recover=False)
+    fs.write_file("/f", DATA, lhint(len(DATA)))
+    with fs.open("/f", "r+") as handle:
+        fault(fs)
+        with pytest.raises(error):
+            handle.write(len(DATA), DATA)  # brick 1 lands on server 1
+        assert handle.size == len(DATA)
+        assert handle.brick_map.to_lists() == [[0], [], [], []]
+        assert fs.stat("/f")["size"] == len(DATA)
+        fs.backend.heal()
+        handle.write(len(DATA), DATA)
+    assert fs.stat("/f")["size"] == 2 * len(DATA)
+    assert rows(fs, "dpfs_file_distribution", "/f") == {
+        fs._server_names[0]: [0],
+        fs._server_names[1]: [1],
+    }
+    assert fs.read_file("/f") == DATA * 2
+    assert fsck(fs).clean
+    fs.remove("/f")
+    assert subfiles(fs) == set()
+
+
+def test_fsck_reports_a_subfile_on_a_server_without_a_row(fs):
+    fs.write_file("/f", DATA, lhint(len(DATA)))  # server 0 only
+    fs.backend.create_subfile(3, "/f")
+    fs.backend.create_subfile(0, replica_subfile("/f"))
+    report = fsck(fs)
+    assert sorted(f.detail for f in report.by_kind("orphan-subfile")) == [
+        "server 0 holds a subfile but no row of its file",
+        "server 3 holds a subfile but no row of its file",
+    ]
+    assert len(report.findings) == 2
+    fsck(fs, repair=True)
+    assert subfiles(fs) == {(0, "/f")}
+    assert fs.read_file("/f") == DATA
+    assert fsck(fs).clean
+
+
+def test_create_file_maps_only_its_own_constraint_failures(fs):
+    fs.write_file("/f", DATA, lhint(len(DATA)))
+    record, bmap = fs.meta.load_file("/f")
+    names = fs._server_names
+    with pytest.raises(FileExists):
+        fs.meta.create_file(record, bmap, names)
+    with pytest.raises(FileNotFound, match="no such directory: /nodir"):
+        fs.meta.create_file(replace(record, path="/nodir/g"), bmap, names)
+    with pytest.raises(ConstraintError, match="NOT NULL"):
+        fs.meta.create_file(replace(record, path="/g", owner=None), bmap, names)
+    assert not fs.meta.file_exists("/g")
 
 
 def test_replica_subfile_only_on_replica_row_servers(fs):
