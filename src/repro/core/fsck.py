@@ -17,8 +17,8 @@ repairs) drift between them:
 ``missing-replica``    a replica bricklist references a server where the
                        replica subfile does not exist (repair: recreate
                        and refill every replica brick from its primary)
-``orphan-subfile``     a server holds a subfile no row of its file names
-                       that server for (repair: delete)
+``orphan-subfile``     a server holds a subfile but no row of its file
+                       (repair: delete)
 ``bad-brick-map``      a file's distribution rows are not a permutation of
                        its bricks (unrepairable: reported only)
 ``usage-drift``        a server's ``used`` counter in ``dpfs_server``
