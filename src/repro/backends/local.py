@@ -7,8 +7,11 @@ resource ... and can take advantage of I/O optimizations such as
 caching and prefetching of the local file system" — collapsed onto one
 host for reproducibility.
 
-Subfile names (DPFS paths like ``/home/xhshen/dpfs.test``) are escaped
-into flat file names.
+Subfile names are escaped into flat file names.  The module-level
+helpers here each act on one subfile path with one system call (plus
+the reads or writes themselves) and raise :class:`FileNotFoundError`
+for a missing subfile; the TCP server (:mod:`repro.net.server`) stores
+its subfiles through the same helpers.
 """
 
 from __future__ import annotations
@@ -29,28 +32,23 @@ __all__ = [
     "LocalBackend",
     "escape_subfile_name",
     "unescape_subfile_name",
+    "create_subfile",
+    "delete_subfile",
+    "read_subfile",
     "write_subfile",
 ]
 
 
 def escape_subfile_name(name: str) -> str:
-    """Escape a DPFS path into a safe flat file name.
+    """Escape a subfile name (a file id, or a path in a root not yet
+    migrated) into a safe flat file name.
 
-    ``%`` escapes itself so the mapping is injective:
-    ``/a/b`` → ``%2Fa%2Fb``-style but readable: we use ``__`` for ``/``
-    and ``%`` escapes for the two metacharacters.
+    ``/`` becomes ``%2F`` and ``%`` escapes itself (``%25``), so the
+    mapping is injective: ``/a/b`` → ``%2Fa%2Fb``.
     """
-    out = []
-    for ch in name:
-        if ch == "%":
-            out.append("%25")
-        elif ch == "/":
-            out.append("%2F")
-        elif ch == "\x00":
-            raise FileSystemError("NUL byte in subfile name")
-        else:
-            out.append(ch)
-    return "".join(out) or "%empty"
+    if "\x00" in name:
+        raise FileSystemError("NUL byte in subfile name")
+    return name.replace("%", "%25").replace("/", "%2F") or "%empty"
 
 
 def unescape_subfile_name(name: str) -> str:
@@ -70,6 +68,35 @@ def unescape_subfile_name(name: str) -> str:
             out.append(name[i])
             i += 1
     return "".join(out)
+
+
+def create_subfile(path: str) -> None:
+    """Create an empty subfile (an existing one is left as it is)."""
+    os.close(os.open(path, os.O_CREAT | os.O_WRONLY, 0o666))
+
+
+def delete_subfile(path: str) -> None:
+    """Delete a subfile; a missing one is already deleted."""
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+
+
+def read_subfile(path: str, extents: Sequence[Extent]) -> bytes:
+    """Read extents of one subfile, concatenated; bytes past its end
+    read as zeros (sparse semantics)."""
+    out = bytearray()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        for off, ln in extents:
+            if off < size:
+                fh.seek(off)
+                chunk = fh.read(min(ln, size - off))
+            else:
+                chunk = b""
+            out += chunk
+            if len(chunk) < ln:                   # sparse tail → zeros
+                out += bytes(ln - len(chunk))
+    return bytes(out)
 
 
 def write_subfile(
@@ -104,6 +131,12 @@ def write_subfile(
 
 def _no_subfile(server: int, name: str) -> FileSystemError:
     return FileSystemError(f"no subfile {name!r} on server {server}")
+
+
+def _check_extents(extents: Sequence[Extent]) -> None:
+    for off, ln in extents:
+        if off < 0 or ln < 0:
+            raise FileSystemError(f"invalid extent ({off}, {ln})")
 
 
 class LocalBackend(StorageBackend):
@@ -152,11 +185,10 @@ class LocalBackend(StorageBackend):
 
     # -- lifecycle -----------------------------------------------------------
     def create_subfile(self, server: int, name: str) -> None:
-        os.close(os.open(self._path(server, name), os.O_CREAT | os.O_WRONLY, 0o666))
+        create_subfile(self._path(server, name))
 
     def delete_subfile(self, server: int, name: str) -> None:
-        with suppress(FileNotFoundError):
-            os.unlink(self._path(server, name))
+        delete_subfile(self._path(server, name))
 
     def subfile_exists(self, server: int, name: str) -> bool:
         return os.path.exists(self._path(server, name))
@@ -183,25 +215,12 @@ class LocalBackend(StorageBackend):
     def read_extents(
         self, server: int, name: str, extents: Sequence[Extent]
     ) -> bytes:
+        path = self._path(server, name)
+        _check_extents(extents)
         try:
-            fh = open(self._path(server, name), "rb")
+            return read_subfile(path, extents)
         except FileNotFoundError:
             raise _no_subfile(server, name) from None
-        out = bytearray()
-        with fh:
-            size = os.fstat(fh.fileno()).st_size
-            for off, ln in extents:
-                if off < 0 or ln < 0:
-                    raise FileSystemError(f"invalid extent ({off}, {ln})")
-                if off < size:
-                    fh.seek(off)
-                    chunk = fh.read(min(ln, size - off))
-                else:
-                    chunk = b""
-                if len(chunk) < ln:                   # sparse tail → zeros
-                    chunk += b"\x00" * (ln - len(chunk))
-                out += chunk
-        return bytes(out)
 
     def write_extents(
         self,
@@ -214,9 +233,7 @@ class LocalBackend(StorageBackend):
     ) -> list[BrickCrc]:
         path = self._path(server, name)
         self._check_payload(extents, data)
-        for off, ln in extents:
-            if off < 0 or ln < 0:
-                raise FileSystemError(f"invalid extent ({off}, {ln})")
+        _check_extents(extents)
         with self._io_locks[server]:
             try:
                 return write_subfile(

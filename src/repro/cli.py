@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover_p = sub.add_parser(
         "recover",
-        help="roll forward/back multi-step operations a crashed client "
+        help="finish the removes and replica refills a crashed client "
         "left in the intent journal",
     )
     recover_p.add_argument("--root", required=True, help="DPFS root directory")
@@ -312,7 +312,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                             "intent_id": a.intent_id,
                             "op": a.op,
                             "path": a.path,
-                            "direction": a.direction,
                             "ok": a.ok,
                             "detail": a.detail,
                         }

@@ -6,8 +6,8 @@ from .brick import (
     BrickMap,
     BrickSlice,
     ReplicaMap,
-    is_replica_subfile,
-    replica_subfile,
+    file_id_of,
+    subfile_names,
 )
 from .cache import BrickCache, CacheStats
 from .checksum import CRC_ALGORITHM, checksum, checksum_fn
@@ -85,8 +85,8 @@ __all__ = [
     "BrickLocation",
     "BrickMap",
     "ReplicaMap",
-    "replica_subfile",
-    "is_replica_subfile",
+    "subfile_names",
+    "file_id_of",
     "PlacementPolicy",
     "RoundRobin",
     "Greedy",

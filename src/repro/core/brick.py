@@ -22,23 +22,27 @@ __all__ = [
     "BrickLocation",
     "BrickMap",
     "ReplicaMap",
-    "replica_subfile",
-    "is_replica_subfile",
+    "subfile_names",
+    "file_id_of",
 ]
 
-#: Suffix appended to a DPFS path to name the per-server subfile holding
-#: that server's *replica* bricks.  Normalised DPFS paths never contain
-#: ``//``, so this can't collide with any real file's subfile.
-_REPLICA_SUFFIX = "//r"
+
+def subfile_names(file_id: int) -> tuple[str, str]:
+    """The names of a file's primary and replica subfiles on a server.
+
+    A subfile is named by its file's id, which is allocated when the
+    file is created and never reused: a rename touches no server, and a
+    subfile outliving its file can never pass for a later file's.
+    """
+    return str(file_id), f"{file_id}.r"
 
 
-def replica_subfile(path: str) -> str:
-    """Subfile name holding a file's replica bricks on a server."""
-    return path + _REPLICA_SUFFIX
-
-
-def is_replica_subfile(name: str) -> bool:
-    return name.endswith(_REPLICA_SUFFIX)
+def file_id_of(name: str) -> int | None:
+    """The file id a subfile name carries (``None``: not an id name)."""
+    head = name.partition(".")[0]
+    if head.isascii() and head.isdigit() and name in subfile_names(int(head)):
+        return int(head)
+    return None
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ class ReplicaMap:
     """Extra copies of each brick, beyond the primary :class:`BrickMap`.
 
     Replica copies live in a *separate* per-server subfile (see
-    :func:`replica_subfile`) so the primary subfile layout — and the
+    :func:`subfile_names`) so the primary subfile layout — and the
     permutation invariant of :meth:`BrickMap.from_lists` — is untouched.
     Each server's replica subfile holds that server's replica bricks
     back-to-back in ``bricklists[server]`` order; a brick may appear in

@@ -10,11 +10,12 @@ instance can share across handles.
 Design points:
 
 - the unit is the brick — DPFS's "basic accessing unit" (§3) — keyed by
-  ``(file path, brick id)``;
+  ``(file id, brick id)``;
 - write-through: writes go to the servers immediately, and any cached
   copy of the touched brick is patched in place, so reads after writes
   are always coherent within the process;
-- files are invalidated wholesale on remove/rename/growth;
+- files are invalidated wholesale on remove; a rename keeps the id,
+  so it keeps the entries too;
 - bricks larger than a quarter of the capacity are never cached (one
   array-level chunk must not evict the whole working set).
 """
@@ -138,26 +139,26 @@ class BrickCache:
         return size <= self.capacity_bytes // 4
 
     # -- lookup ---------------------------------------------------------------
-    def get(self, path: str, brick_id: int) -> bytes | None:
+    def get(self, file_id: int, brick_id: int) -> bytes | None:
         """Whole-brick lookup; promotes on hit."""
-        entry = self._entries.get((path, brick_id))
+        entry = self._entries.get((file_id, brick_id))
         if entry is None:
             self._miss.inc()
             return None
-        self._entries.move_to_end((path, brick_id))
+        self._entries.move_to_end((file_id, brick_id))
         self._hit.inc()
         return bytes(entry.data)
 
-    def peek(self, path: str, brick_id: int) -> bool:
+    def peek(self, file_id: int, brick_id: int) -> bool:
         """Presence check without touching LRU order or stats."""
-        return (path, brick_id) in self._entries
+        return (file_id, brick_id) in self._entries
 
     # -- population -------------------------------------------------------------
-    def put(self, path: str, brick_id: int, data: bytes) -> None:
+    def put(self, file_id: int, brick_id: int, data: bytes) -> None:
         """Insert/replace a whole brick (no-op when not cacheable)."""
         if not self.cacheable(len(data)):
             return
-        key = (path, brick_id)
+        key = (file_id, brick_id)
         old = self._entries.pop(key, None)
         if old is not None:
             self._used -= old.size
@@ -179,30 +180,30 @@ class BrickCache:
             self._sync_gauges()
 
     # -- coherence ---------------------------------------------------------------
-    def patch(self, path: str, brick_id: int, offset: int, data: bytes) -> None:
+    def patch(self, file_id: int, brick_id: int, offset: int, data: bytes) -> None:
         """Apply a write-through update to a cached brick, if present."""
-        entry = self._entries.get((path, brick_id))
+        entry = self._entries.get((file_id, brick_id))
         if entry is None:
             return
         if offset + len(data) > entry.size:
             # write beyond the cached image (shouldn't happen for fixed
             # bricks): drop the stale entry instead of guessing
-            self.invalidate_brick(path, brick_id)
+            self.invalidate_brick(file_id, brick_id)
             return
         entry.data[offset : offset + len(data)] = data
-        self._entries.move_to_end((path, brick_id))
+        self._entries.move_to_end((file_id, brick_id))
         self.stats._patched.inc()
 
-    def invalidate_brick(self, path: str, brick_id: int) -> None:
-        entry = self._entries.pop((path, brick_id), None)
+    def invalidate_brick(self, file_id: int, brick_id: int) -> None:
+        entry = self._entries.pop((file_id, brick_id), None)
         if entry is not None:
             self._used -= entry.size
             self.stats._invalidations.inc()
             self._sync_gauges()
 
-    def invalidate_file(self, path: str) -> None:
-        """Drop every cached brick of one file (remove/rename/growth)."""
-        victims = [key for key in self._entries if key[0] == path]
+    def invalidate_file(self, file_id: int) -> None:
+        """Drop every cached brick of one file (remove, copy repair)."""
+        victims = [key for key in self._entries if key[0] == file_id]
         for key in victims:
             self._used -= self._entries.pop(key).size
         self.stats._invalidations.inc(len(victims))

@@ -21,7 +21,6 @@ from ..backends.local import LocalBackend
 from ..backends.memory import MemoryBackend
 from ..errors import (
     DPFSError,
-    FileExists,
     FileNotFound,
     FileSystemError,
     InvalidHint,
@@ -30,7 +29,7 @@ from ..errors import (
 )
 from ..metadb import Database
 from ..obs import MetricsRegistry, Tracer
-from .brick import BrickMap, ReplicaMap, replica_subfile
+from .brick import BrickMap, ReplicaMap, subfile_names
 from .cache import BrickCache
 from .crashpoints import crashpoint, register
 from .dispatch import Dispatcher, DispatchPolicy
@@ -38,7 +37,7 @@ from .handle import FileHandle
 from .hints import Hint
 from .intent import IntentLog, RecoveryReport
 from .intent import recover as _recover_intents
-from .metadata import FileRecord, Holders, MetadataManager, normalize_path, split_path
+from .metadata import FileRecord, Holders, MetadataManager, normalize_path
 from .placement import Greedy, PlacementPolicy, RoundRobin, make_policy
 from .striping import FileLevel, LinearStriping
 
@@ -49,29 +48,25 @@ DEFAULT_PERMISSION = 0o744
 
 # -- crash points ------------------------------------------------------------
 # One per boundary that separates two different durable states of a
-# journalled multi-step operation; the systematic crash sweep
+# multi-step operation; the systematic crash sweep
 # (tests/core/test_crash_sweep.py) arms each of these in turn and
-# proves recovery restores an fsck/scrub-clean namespace.  The
-# ``mid_subfiles``/``mid_copy`` points sit *inside* the per-server
+# proves a remount plus ``fsck --repair`` restores a clean namespace.
+# The ``mid_subfiles``/``mid_copy`` points sit *inside* the per-server
 # fan-out, after one server's work, so they model a crash with the
 # mutation half-applied across the cluster.  The ``in_commit`` points
 # sit inside the commit transaction: a crash there means the
-# transaction never became durable, so recovery must see the operation
-# as never committed.  A boundary with no durable change between it and
-# its neighbour (or the operation's start or end) has no point: a crash
-# there leaves the same state as one at the neighbour.
-CP_CREATE_AFTER_INTENT = register("filesystem.create.after_intent")
-CP_CREATE_MID_SUBFILES = register("filesystem.create.mid_subfiles")
-CP_CREATE_AFTER_SUBFILES = register("filesystem.create.after_subfiles")
+# transaction never became durable, so the operation never happened.
+# A boundary with no durable change between it and its neighbour (or
+# the operation's start or end) has no point: a crash there leaves the
+# same state as one at the neighbour.
 CP_CREATE_IN_COMMIT = register("filesystem.create.in_commit")
+CP_CREATE_AFTER_COMMIT = register("filesystem.create.after_commit")
+CP_CREATE_MID_SUBFILES = register("filesystem.create.mid_subfiles")
 CP_REMOVE_IN_COMMIT = register("filesystem.remove.in_commit")
 CP_REMOVE_AFTER_METADATA = register("filesystem.remove.after_metadata")
 CP_REMOVE_MID_SUBFILES = register("filesystem.remove.mid_subfiles")
 CP_REMOVE_AFTER_SUBFILES = register("filesystem.remove.after_subfiles")
 CP_RENAME_IN_COMMIT = register("filesystem.rename.in_commit")
-CP_RENAME_AFTER_METADATA = register("filesystem.rename.after_metadata")
-CP_RENAME_MID_SUBFILES = register("filesystem.rename.mid_subfiles")
-CP_RENAME_AFTER_SUBFILES = register("filesystem.rename.after_subfiles")
 CP_GROW_MID_SUBFILES = register("filesystem.grow.mid_subfiles")
 CP_GROW_IN_COMMIT = register("filesystem.grow.in_commit")
 CP_REFILL_AFTER_INTENT = register("filesystem.refill.after_intent")
@@ -128,14 +123,15 @@ class DPFS:
         io_backoff_s: float = 0.002,
         tracing: bool = False,
         auto_recover: bool = True,
-        recover_grace_s: float = 60.0,
     ) -> None:
         self.backend = backend
         self.db = db if db is not None else Database()
         self.meta = MetadataManager(self.db)
         self.meta.register_servers(backend.servers)
-        #: write-ahead journal of multi-step mutations (dpfs_intent table)
+        #: journal of removes and refills still owing server work
+        #: (dpfs_intent table)
         self.intents = IntentLog(self.db)
+        self._rename_legacy_subfiles()
         self.owner = owner
         self.default_combine = default_combine
         #: unified observability: one registry per instance is the
@@ -174,9 +170,9 @@ class DPFS:
         )
         self._server_names = [info.name for info in backend.servers]
         #: copies that failed checksum verification and have not been
-        #: repaired yet: (path, brick_id, server).  Copy selection skips
-        #: these; read-repair and the scrubber clear them.
-        self.quarantine: set[tuple[str, int, int]] = set()
+        #: repaired yet: (file_id, brick_id, server).  Copy selection
+        #: skips these; read-repair and the scrubber clear them.
+        self.quarantine: set[tuple[int, int, int]] = set()
         self._c_failover = self.metrics.counter(
             "dpfs_read_failovers_total",
             "reads served from a non-preferred brick copy, by reason",
@@ -192,20 +188,16 @@ class DPFS:
             "dpfs_write_degraded_total",
             "writes that succeeded with fewer than all copies",
         )
-        #: crash recovery: roll any intents a dead client left behind
-        #: forward or back before this mount serves its first request.
-        #: Only intents older than ``recover_grace_s`` are touched — an
-        #: intent younger than that may belong to a *live* client
-        #: sharing this metadata database (a second mount over the same
-        #: <root>/dpfs.meta, say), and "recovering" it would corrupt an
-        #: operation still in flight.  Pass ``recover_grace_s=0.0`` when
-        #: the mount is known exclusive (or the previous client is known
-        #: dead), or ``auto_recover=False`` plus an explicit
-        #: :meth:`recover` to control the sweep entirely.
-        self.recover_grace_s = recover_grace_s
+        #: crash recovery: roll forward any remove or refill a dead
+        #: client left behind before this mount serves its first
+        #: request.  Re-running one a live client sharing this metadata
+        #: database is still executing repeats idempotent work on ids
+        #: no other file will ever have, so every pending intent is
+        #: swept.  ``auto_recover=False`` plus an explicit
+        #: :meth:`recover` controls the sweep entirely.
         self.last_recovery: RecoveryReport | None = None
         if auto_recover:
-            self.last_recovery = self.recover(min_age_s=recover_grace_s)
+            self.last_recovery = self.recover()
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -288,21 +280,40 @@ class DPFS:
     def _note_degraded_write(self) -> None:
         self._c_degraded.inc()
 
-    def _forget_path(self, path: str) -> None:
-        """Drop every in-memory trace of a removed/renamed path."""
+    def _forget(self, file_id: int) -> None:
+        """Drop every in-memory trace of a removed file."""
         if self.cache is not None:
-            self.cache.invalidate_file(path)
-        self.quarantine = {q for q in self.quarantine if q[0] != path}
+            self.cache.invalidate_file(file_id)
+        self.quarantine = {q for q in self.quarantine if q[0] != file_id}
 
     # -- recovery --------------------------------------------------------------
-    def recover(self, min_age_s: float = 0.0) -> RecoveryReport:
-        """Roll every pending intent forward or back (``dpfs recover``).
+    def recover(self) -> RecoveryReport:
+        """Roll every pending intent forward (``dpfs recover``)."""
+        return _recover_intents(self)
 
-        An explicit call sweeps everything; the mount-time auto sweep
-        passes ``min_age_s=recover_grace_s`` so it leaves a live
-        concurrent client's fresh intents alone.
+    def _rename_legacy_subfiles(self) -> None:
+        """Finish migrating a root written before file ids: rename the
+        path-named subfiles on each server to their id names.
+
+        Idempotent: a name already renamed is no longer listed, and a
+        server is struck off only once all of its renames are done, so
+        a crash or a DOWN server leaves the rest for the next mount.
+        That mount raises until then rather than serve files whose
+        subfiles still carry their old names.
         """
-        return _recover_intents(self, min_age_s)
+        failures: list[tuple[int, Exception]] = []
+        for server, renames in self.meta.legacy_subfiles().items():
+            try:
+                present = set(self.backend.list_subfiles(server))
+                for old, new in renames:
+                    if old in present:
+                        self.backend.rename_subfile(server, old, new)
+            except (DPFSError, OSError) as exc:
+                failures.append((server, exc))
+                continue
+            self.meta.legacy_subfiles_renamed(server)
+        if failures:
+            raise MultiServerError("rename path-named subfiles to file ids", failures)
 
     # -- namespace ------------------------------------------------------------
     def mkdir(self, path: str) -> None:
@@ -338,65 +349,39 @@ class DPFS:
         """rm — journalled: drop metadata (the commit point), then delete
         the file's subfiles (replicas too) on the servers its rows named.
 
-        The metadata drop and the intent that records it, already marked
-        committed, are one SQL transaction: before it nothing happened,
-        so no separate ``begin`` is needed.  The intent records the
-        servers, so recovery deletes on the same ones.  The subfile
-        deletes fan out through the dispatcher and run on every one of
-        those servers even when some fail, so one DOWN server does not
-        strand the rest.  Failures surface as one
-        :class:`MultiServerError` and leave the intent journalled for a
-        later recovery sweep to finish.
+        The metadata drop and the intent that records what is left to
+        do are one SQL transaction.  The intent names the file's id and
+        servers, so recovery deletes the same subfiles.  The deletes
+        fan out through the dispatcher and run on every one of those
+        servers even when some fail, so one DOWN server does not strand
+        the rest.  Failures surface as one :class:`MultiServerError`
+        and leave the intent journalled for a later recovery sweep.
         """
         norm = normalize_path(path)
         with self.db.transaction():
-            servers = self.meta.remove_file(norm)
+            file_id, servers = self.meta.remove_file(norm)
             crashpoint(CP_REMOVE_IN_COMMIT)
             intent = self.intents.begin(
-                "remove",
-                {"path": norm, "servers": servers},
-                steps=["remove-metadata", "delete-subfiles"],
-                commit_step="remove-metadata",
+                "remove", {"path": norm, "file_id": file_id, "servers": servers}
             )
-            self.intents.mark(intent, "remove-metadata")
         crashpoint(CP_REMOVE_AFTER_METADATA)
-        self._forget_path(norm)
-        self._redo_remove_subfiles(norm, servers)  # raises MultiServerError, intent kept
+        self._forget(file_id)
+        self._redo_remove_subfiles(file_id, servers)  # raises MultiServerError, intent kept
         crashpoint(CP_REMOVE_AFTER_SUBFILES)
         self.intents.retire(intent)
 
     def rename(self, old: str, new: str) -> None:
-        """mv — journalled: metadata re-key (the commit point, journalled
-        in the same transaction, as in :meth:`remove`), then subfile
-        renames on the servers the file's rows name, fanned out through
-        the dispatcher.
-
-        Subfile renames are idempotent (skip a server that already
-        holds the new name) and tolerate missing replica subfiles, so
-        recovery can replay them and a partly-renamed cluster converges
-        instead of erroring half-way.
-        """
+        """mv — one metadata transaction.  Subfiles are named by the
+        file's id, so no server is reached and nothing is journalled."""
         old_norm = normalize_path(old)
         new_norm = normalize_path(new)
         if old_norm == new_norm:
             return
         with self.db.transaction():
-            replicated, holders = self.meta.rename_file(old_norm, new_norm)
+            self.meta.rename_file(old_norm, new_norm)
             crashpoint(CP_RENAME_IN_COMMIT)
-            intent = self.intents.begin(
-                "rename",
-                {"old": old_norm, "new": new_norm, "replicated": replicated},
-                steps=["rekey-metadata", "rename-subfiles"],
-                commit_step="rekey-metadata",
-            )
-            self.intents.mark(intent, "rekey-metadata")
-        crashpoint(CP_RENAME_AFTER_METADATA)
-        self._forget_path(old_norm)
-        self._redo_rename_subfiles(old_norm, new_norm, replicated, holders)
-        crashpoint(CP_RENAME_AFTER_SUBFILES)
-        self.intents.retire(intent)
 
-    # -- journalled per-server fan-out (shared with crash recovery) ------------
+    # -- per-server fan-out (shared with crash recovery) -----------------------
     def _fanout_subfiles(self, op: str, fn, servers: Sequence[int]) -> None:
         """Run ``fn(server)`` on each of ``servers`` through the dispatcher.
 
@@ -415,7 +400,7 @@ class DPFS:
 
     def _redo_create_subfiles(
         self,
-        norm: str,
+        file_id: int,
         primary: Sequence[int],
         replica: Sequence[int],
         point: str = CP_CREATE_MID_SUBFILES,
@@ -423,99 +408,43 @@ class DPFS:
         """Make the primary subfile on ``primary`` and the replica
         subfile on ``replica`` servers (``point``: the crash point after
         each server's work; grow passes its own)."""
-        rname = replica_subfile(norm)
+        name, rname = subfile_names(file_id)
 
         def make(server: int) -> None:
             if server in primary:
-                self.backend.create_subfile(server, norm)
+                self.backend.create_subfile(server, name)
             if server in replica:
                 self.backend.create_subfile(server, rname)
             crashpoint(point)
 
         self._fanout_subfiles("create", make, sorted({*primary, *replica}))
 
-    def _redo_remove_subfiles(
-        self,
-        norm: str,
-        servers: Sequence[int],
-        point: str | None = CP_REMOVE_MID_SUBFILES,
-    ) -> None:
-        rname = replica_subfile(norm)
+    def _redo_remove_subfiles(self, file_id: int, servers: Sequence[int]) -> None:
+        names = subfile_names(file_id)
 
         def delete(server: int) -> None:
-            self.backend.delete_subfile(server, norm)
-            self.backend.delete_subfile(server, rname)
-            if point:
-                crashpoint(point)
+            for name in names:
+                self.backend.delete_subfile(server, name)
+            crashpoint(CP_REMOVE_MID_SUBFILES)
 
         self._fanout_subfiles("remove", delete, servers)
-
-    def _undo_create_subfiles(self, norm: str, servers: Sequence[int]) -> None:
-        """Delete a failed create's subfiles, except on the servers whose
-        rows now name the path: a concurrent create that won the race
-        committed it, and those subfiles are its own."""
-        taken = self.meta.holders(norm).servers()
-        self._redo_remove_subfiles(
-            norm, [s for s in servers if s not in taken], point=None
-        )
-
-    def _redo_rename_subfiles(
-        self, old_norm: str, new_norm: str, replicated: bool, holders: Holders
-    ) -> None:
-        """Rename both subfiles on every server of ``holders``; a
-        subfile found under neither name is recreated where its row is."""
-        names = [(old_norm, new_norm, holders.primary)]
-        if replicated:
-            names.append(
-                (replica_subfile(old_norm), replica_subfile(new_norm), holders.replica)
-            )
-
-        def rename(server: int) -> None:
-            for old_name, new_name, held in names:
-                self._rename_subfile_idempotent(
-                    server, old_name, new_name, server in held
-                )
-            crashpoint(CP_RENAME_MID_SUBFILES)
-
-        self._fanout_subfiles("rename", rename, holders.servers())
-
-    def _rename_subfile_idempotent(
-        self, server: int, old_name: str, new_name: str, held: bool
-    ) -> None:
-        """Converge one subfile toward its new name, whatever the start.
-
-        Old exists → rename it.  Old gone but new present → a previous
-        attempt already finished here, skip.  Neither → if the server
-        ``held`` a row for it, recreate the (sparse) subfile under the
-        new name so metadata never references a missing one.
-        """
-        backend = self.backend
-        if backend.subfile_exists(server, old_name):
-            backend.rename_subfile(server, old_name, new_name)
-        elif held and not backend.subfile_exists(server, new_name):
-            backend.create_subfile(server, new_name)
 
     # -- replica refill (journalled; fsck --repair entry point) ----------------
     def refill_replica_subfile(self, path: str, server: int) -> bool:
         """Recreate a lost replica subfile and refill it from primaries.
 
-        Journalled with an empty commit step, i.e. *always* rolled
-        forward: re-running a refill from scratch is idempotent and the
-        only useful recovery, so no step is ever marked.  Returns False
-        (keeping the intent pending for the next sweep) when a server is
-        unreachable.
+        Journalled, and rolled forward by recovery: re-running a refill
+        from scratch is idempotent.  Returns False (keeping the intent
+        pending for the next sweep) when a server is unreachable.
         """
+        record, bmap = self.meta.load_file(path)
         intent = self.intents.begin(
-            "refill",
-            {"path": path, "server": server},
-            steps=["copy-bricks"],
-            commit_step="",
+            "refill", {"path": path, "file_id": record.file_id, "server": server}
         )
         crashpoint(CP_REFILL_AFTER_INTENT)
         try:
-            record, bmap = self.meta.load_file(path)
-            rmap = self.meta.load_replica_map(path, record)
-            self._copy_replica_bricks(path, bmap, rmap, server)
+            rmap = self.meta.load_replica_map(record)
+            self._copy_replica_bricks(record.file_id, bmap, rmap, server)
         except (DPFSError, OSError):
             return False
         crashpoint(CP_REFILL_AFTER_COPY)
@@ -523,10 +452,10 @@ class DPFS:
         return True
 
     def _copy_replica_bricks(
-        self, path: str, bmap: BrickMap, rmap: ReplicaMap, server: int
+        self, file_id: int, bmap: BrickMap, rmap: ReplicaMap, server: int
     ) -> None:
         """(Re)write every replica brick one server holds, from primaries."""
-        rname = replica_subfile(path)
+        name, rname = subfile_names(file_id)
         self.backend.create_subfile(server, rname)
         for rloc in (
             rl
@@ -536,32 +465,21 @@ class DPFS:
         ):
             ploc = bmap.location(rloc.brick_id)
             data = self.backend.read_extents(
-                ploc.server, path, [(ploc.local_offset, ploc.size)]
+                ploc.server, name, [(ploc.local_offset, ploc.size)]
             )
             self.backend.write_extents(
                 server, rname, [(rloc.local_offset, rloc.size)], bytes(data)
             )
             crashpoint(CP_REFILL_MID_COPY)
 
-    def _redo_refill_replicas(self, path: str, server: int | None = None) -> None:
-        """Crash-recovery redo: refill one server's (or every) replica set."""
-        if not self.meta.file_exists(path):
+    def _redo_refill_replicas(self, file_id: int, server: int) -> None:
+        """Crash-recovery redo: refill one server's replica subfile."""
+        try:
+            record, bmap = self.meta.load_file(file_id)
+        except FileNotFound:
             return  # the file is gone; nothing left to refill
-        record, bmap = self.meta.load_file(path)
-        if record.replicas <= 1:
-            return
-        rmap = self.meta.load_replica_map(path, record)
-        targets = (
-            [server]
-            if server is not None
-            else [
-                s
-                for s in range(self.backend.n_servers)
-                if rmap.bricklists[s]
-            ]
-        )
-        for s in targets:
-            self._copy_replica_bricks(path, bmap, rmap, s)
+        rmap = self.meta.load_replica_map(record)
+        self._copy_replica_bricks(file_id, bmap, rmap, server)
 
     def du(self, path: str = "/") -> int:
         """Total logical bytes of all files at or under ``path``."""
@@ -613,7 +531,7 @@ class DPFS:
                     f"mode {mode!r}"
                 )
             replica_map = (
-                self.meta.load_replica_map(norm, record)
+                self.meta.load_replica_map(record)
                 if record.replicas > 1
                 else None
             )
@@ -706,46 +624,16 @@ class DPFS:
             brick_sizes=list(sizes),
             replicas=hint.replicas,
         )
-        # pre-flight namespace checks so no subfile is created for a
-        # request that was always going to fail (create_file's insert
-        # refuses the same conditions atomically inside its transaction)
-        parent, _base = split_path(norm)
-        if not self.meta.dir_exists(parent):
-            raise FileNotFound(f"no such directory: {parent}")
-        if self.meta.file_exists(norm) or self.meta.dir_exists(norm):
-            raise FileExists(norm)
-        holders = Holders.of(brick_map, replica_map)
-        # journalled create: subfiles first, metadata commit last — a
-        # crash before the commit leaves only orphan subfiles, which
-        # roll-back deletes on the servers the intent names.  The
-        # commit transaction retires the intent too: after it nothing
-        # is left to do.
-        intent = self.intents.begin(
-            "create",
-            {"path": norm, "servers": holders.servers()},
-            steps=["create-subfiles", "write-metadata"],
-            commit_step="write-metadata",
-        )
-        crashpoint(CP_CREATE_AFTER_INTENT)
-        try:
-            self._redo_create_subfiles(norm, *holders)
-            crashpoint(CP_CREATE_AFTER_SUBFILES)
-            # commit point: metadata insert + intent retirement, atomically
-            with self.db.transaction():
-                self.meta.create_file(
-                    record, brick_map, self._server_names, replica_map
-                )
-                crashpoint(CP_CREATE_IN_COMMIT)
-                self.intents.retire(intent)
-        except Exception:
-            # undo whatever subfiles landed; if even that fails, the
-            # intent stays journalled and the next sweep rolls it back
-            try:
-                self._undo_create_subfiles(norm, intent.args["servers"])
-                self.intents.retire(intent)
-            except Exception:  # noqa: BLE001 - recovery owns the rest
-                pass
-            raise
+        # commit point: the insert allocates the file's id, and its
+        # constraints refuse a taken name or a missing directory before
+        # any subfile exists.  The subfiles come after: a crash between
+        # leaves a file no byte was written to, whose missing subfiles
+        # fsck --repair recreates empty.
+        with self.db.transaction():
+            self.meta.create_file(record, brick_map, self._server_names, replica_map)
+            crashpoint(CP_CREATE_IN_COMMIT)
+        crashpoint(CP_CREATE_AFTER_COMMIT)
+        self._redo_create_subfiles(record.file_id, *Holders.of(brick_map, replica_map))
         return record, brick_map, replica_map
 
     def _check_capacity(
@@ -775,7 +663,7 @@ class DPFS:
         new_bricks = striping.grow_to(new_size)
         if not new_bricks:
             # no new bricks: the size update is a single (atomic) statement
-            self.meta.update_file_size(record.path, new_size)
+            self.meta.update_file_size(record.file_id, new_size)
             record.size = new_size
             return
         # the new bricks go on copies of the maps, installed on the
@@ -811,8 +699,8 @@ class DPFS:
             brick_sizes = [striping.brick_size] * len(brick_map)
             # a server's first brick of the file needs a row and a
             # subfile; the row comes first, so a grow that never commits
-            # leaves a subfile that remove and rename still reach, and
-            # the next grow reuses both
+            # leaves a subfile that remove still reaches, and the next
+            # grow reuses both
             new = Holders(
                 *(
                     [s for s in now if s not in before]
@@ -820,15 +708,15 @@ class DPFS:
                 )
             )
             if any(new):
-                self.meta.reserve_rows(record.path, new, self._server_names)
-                self._redo_create_subfiles(record.path, *new, CP_GROW_MID_SUBFILES)
+                self.meta.reserve_rows(record.file_id, new, self._server_names)
+                self._redo_create_subfiles(record.file_id, *new, CP_GROW_MID_SUBFILES)
             # commit point: ONE transaction (geometry, distribution,
             # replica map, size, usage) and no intent — the new bricks
             # materialise lazily on first write, so after it nothing is
             # left to do
             with self.db.transaction():
                 self.meta.grow_file(
-                    record.path,
+                    record.file_id,
                     brick_map,
                     brick_sizes,
                     self._server_names,

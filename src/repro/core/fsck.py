@@ -7,13 +7,19 @@ the metadata database and the servers' subfiles — and reports (or
 repairs) drift between them:
 
 =====================  =====================================================
-``pending-intent``     the intent journal holds a multi-step operation a
+``pending-intent``     the intent journal holds a remove or refill a
                        crashed client never finished (repair: run the
-                       recovery engine — roll forward past the commit
-                       step, roll back before it)
+                       recovery engine, which rolls it forward)
 ``missing-subfile``    a bricklist references a server where the subfile
-                       does not exist (repair: recreate empty; sparse
-                       semantics make unwritten bricks read as zeros)
+                       does not exist, and no brick it held was written
+                       or each written one has another copy (repair:
+                       recreate empty; unwritten bricks read as zeros,
+                       and the deep pass rewrites written ones from
+                       their other copy)
+``lost-subfile``       as ``missing-subfile``, but a brick it held has a
+                       stored checksum and no other copy: its bytes are
+                       gone (unrepairable: reported, and reads keep
+                       failing rather than return zeros)
 ``missing-replica``    a replica bricklist references a server where the
                        replica subfile does not exist (repair: recreate
                        and refill every replica brick from its primary)
@@ -47,11 +53,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..errors import DPFSError
+from .brick import file_id_of, subfile_names
 from .metadata import _BRICK_SIZES_OF
 
 if TYPE_CHECKING:  # pragma: no cover
     from .filesystem import DPFS
-    from .metadata import MetadataManager
+    from .metadata import Holders, MetadataManager
 
 __all__ = ["Finding", "FsckReport", "fsck", "rewrite_usage", "usage_oracle"]
 
@@ -124,13 +131,23 @@ class FsckReport:
         return "\n".join(lines)
 
 
+def _belongs(holders: "Holders", server: int, name: str, file_id: int) -> bool:
+    """Whether subfile ``name`` of file ``file_id``, whose row servers
+    are ``holders``, belongs on ``server``: a replicated file's two
+    subfiles on any of its row servers (remove deletes both names on
+    each, and an older build made both on every server), an
+    unreplicated file's primary one on its distribution-row servers."""
+    if holders.replica:
+        return server in holders.servers()
+    return server in holders.primary and name == subfile_names(file_id)[0]
+
+
 def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
     """Cross-check metadata against storage; optionally repair.
 
     ``deep=True`` adds the scrubber's checksum verification of every
     brick copy (reads all data; disable for a metadata-only pass).
     """
-    from .brick import replica_subfile
     from .scrub import verify_file_copies
 
     report = FsckReport()
@@ -138,8 +155,8 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
     backend = fs.backend
 
     # -- pass 0: crashed multi-step operations (intent journal) ----------------
-    # Run before everything else: recovering a half-done remove/rename
-    # is what makes the later passes see a consistent tree.
+    # Run before everything else: finishing a half-done remove or
+    # refill is what makes the later passes see a consistent tree.
     pending = fs.intents.pending()
     if pending:
         outcome = {}
@@ -149,7 +166,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
             action = outcome.get(intent.intent_id)
             detail = (
                 f"{intent.op} interrupted mid-flight (steps done: "
-                f"{', '.join(intent.done) if intent.done else 'none'})"
+                f"{', '.join(intent.done) or 'none'})"
             )
             if action is not None and not action.ok and action.detail:
                 detail += f" — recovery stuck: {action.detail}"
@@ -162,72 +179,87 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                 )
             )
 
-    # (server, subfile name) pairs some row names: a file's subfile
-    # belongs on the servers holding its rows, and nowhere else
-    referenced: set[tuple[int, str]] = set()
+    # file id → the servers holding its rows, for the orphan pass
+    known: dict[int, Holders] = {}
 
     # -- pass 1: every file's brick map and subfiles --------------------------
-    for path in meta.iter_files():
+    for row in meta.db.execute(
+        "SELECT filename, file_id FROM dpfs_file_attr ORDER BY filename"
+    ).rows:
+        path, file_id = row["filename"], row["file_id"]
         report.files_checked += 1
-        holders = meta.holders(path)
-        referenced.update((server, path) for server in holders.primary)
+        known[file_id] = meta.holders(file_id)
         try:
-            record, bmap = meta.load_file(path)
+            record, bmap = meta.load_file(file_id)
         except DPFSError as exc:
             report.findings.append(
                 Finding("bad-brick-map", path, str(exc))
             )
             continue
-        for server in range(backend.n_servers):
-            if not bmap.bricklist(server):
-                continue
-            if not backend.subfile_exists(server, path):
-                repaired = False
-                if repair:
-                    backend.create_subfile(server, path)
-                    repaired = True
-                report.findings.append(
-                    Finding(
-                        "missing-subfile",
-                        path,
-                        f"server {server} holds bricks but no subfile",
-                        repaired,
-                    )
-                )
+        rmap = None
         if record.replicas > 1:
-            rname = replica_subfile(path)
-            # remove and rename reach both names on every row server (an
-            # older build made both subfiles on every server)
-            referenced.update(
-                (server, name)
-                for server in holders.servers()
-                for name in (path, rname)
-            )
             try:
-                rmap = meta.load_replica_map(path, record)
+                rmap = meta.load_replica_map(record)
             except DPFSError as exc:
+                # checked below as if no brick had another copy
                 report.findings.append(
                     Finding("bad-brick-map", path, f"replica map: {exc}")
                 )
+        name, rname = subfile_names(file_id)
+        for server in range(backend.n_servers):
+            bricks = bmap.bricklist(server)
+            if not bricks or backend.subfile_exists(server, name):
                 continue
-            for server in range(backend.n_servers):
-                if not rmap.bricklists[server]:
-                    continue
-                if not backend.subfile_exists(server, rname):
-                    repaired = False
-                    if repair:
-                        repaired = fs.refill_replica_subfile(path, server)
-                    report.findings.append(
-                        Finding(
-                            "missing-replica",
-                            path,
-                            f"server {server} holds replica bricks but no "
-                            f"replica subfile",
-                            repaired,
-                        )
+            # a brick with a stored checksum held data; without another
+            # copy to rewrite it from, an empty subfile would turn it
+            # into zeros no read could tell from the real bytes
+            lost = [
+                b for b in bricks
+                if record.brick_crcs[b] is not None
+                and (rmap is None or not rmap.servers_of(b))
+            ]
+            if lost:
+                report.findings.append(
+                    Finding(
+                        "lost-subfile",
+                        path,
+                        f"server {server} lost the subfile holding written "
+                        f"brick(s) {lost}, which have no other copy",
                     )
+                )
+                continue
+            if repair:
+                backend.create_subfile(server, name)
+            report.findings.append(
+                Finding(
+                    "missing-subfile",
+                    path,
+                    f"server {server} holds bricks but no subfile",
+                    repair,
+                )
+            )
+        if rmap is None:
+            continue
+        for server in range(backend.n_servers):
+            if not rmap.bricklists[server]:
+                continue
+            if not backend.subfile_exists(server, rname):
+                repaired = False
+                if repair:
+                    repaired = fs.refill_replica_subfile(path, server)
+                report.findings.append(
+                    Finding(
+                        "missing-replica",
+                        path,
+                        f"server {server} holds replica bricks but no "
+                        f"replica subfile",
+                        repaired,
+                    )
+                )
 
     # -- deep pass: checksum-verify every copy of every brick ------------------
+    # (after pass 1, whose recreated subfiles this pass rewrites from
+    # their other copy)
     if deep:
         for path in meta.iter_files():
             try:
@@ -267,18 +299,24 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
     # -- pass 3: orphan subfiles on the servers --------------------------------
     for server in range(backend.n_servers):
         for name in backend.list_subfiles(server):
-            if (server, name) not in referenced:
-                repaired = False
-                if repair:
-                    backend.delete_subfile(server, name)
-                    repaired = True
-                report.findings.append(
-                    Finding(
-                        "orphan-subfile",
-                        name,
-                        f"server {server} holds a subfile but no row of its file",
-                        repaired,
-                    )
+            file_id = file_id_of(name)
+            if file_id is not None:
+                # a file created since pass 1 commits its rows before it
+                # makes its subfiles: look again before calling one orphan
+                holders = known.get(file_id) or meta.holders(file_id)
+                if _belongs(holders, server, name, file_id):
+                    continue
+            repaired = False
+            if repair:
+                backend.delete_subfile(server, name)
+                repaired = True
+            report.findings.append(
+                Finding(
+                    "orphan-subfile",
+                    name,
+                    f"server {server} holds a subfile but no row of its file",
+                    repaired,
                 )
+            )
     return report
 

@@ -42,7 +42,7 @@ from ..hpf.regions import Region
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import span
 from ..util import Extent
-from .brick import BrickLocation, BrickMap, BrickSlice, ReplicaMap, replica_subfile
+from .brick import BrickLocation, BrickMap, BrickSlice, ReplicaMap, subfile_names
 from .checksum import checksum_fn
 from .combine import ServerRequest, SlicePlacement, plan_requests
 from .crashpoints import crashpoint, register
@@ -202,6 +202,10 @@ class FileHandle:
         self.stagger = stagger
         self.stats = IOStats().bind(fs.metrics)
         self._closed = False
+        #: the file's id and its subfile names: a rename after this
+        #: handle opened changes neither
+        self._id = record.file_id
+        self._name, self._rname = subfile_names(record.file_id)
         #: read-ahead state: one past the last brick id fetched by a
         #: cache-enabled read (sequential-pattern detector)
         self._next_expected_brick = 0
@@ -428,13 +432,12 @@ class FileHandle:
         map's deterministic order, so a request's ``copy`` tag resolves
         back to the same location here.
         """
-        copies = [(0, self.brick_map.location(brick_id), self.record.path)]
+        copies = [(0, self.brick_map.location(brick_id), self._name)]
         if self.replica_map is not None:
-            rname = replica_subfile(self.record.path)
             for i, loc in enumerate(
                 self.replica_map.locations(brick_id), start=1
             ):
-                copies.append((i, loc, rname))
+                copies.append((i, loc, self._rname))
         return copies
 
     def _choose_copy(self, brick_id: int) -> tuple[int, BrickLocation, str]:
@@ -453,7 +456,7 @@ class FileHandle:
         fallback = None
         for entry in copies:
             idx, loc, _name = entry
-            if (self.record.path, brick_id, loc.server) in quarantine:
+            if (self._id, brick_id, loc.server) in quarantine:
                 continue
             health = backend.server_health(loc.server)
             if health >= 2:
@@ -485,7 +488,7 @@ class FileHandle:
         got = self._crc(blob, 0)
         if got == want:
             return True
-        stored, _ = self.fs.meta.load_file(self.record.path)
+        stored, _ = self.fs.meta.load_file(self._id)
         self.record.brick_crcs = stored.brick_crcs
         self.record.brick_crc_versions = stored.brick_crc_versions
         crc = self._stored_crc(brick_id)
@@ -506,10 +509,9 @@ class FileHandle:
                     SlicePlacement(s, loc.server, loc.local_offset + s.offset)
                 )
         plan = self._plan(primary) if primary else []
-        rname = replica_subfile(self.record.path)
         for (server, idx), placements in sorted(groups.items()):
             plan.append(
-                ServerRequest(server, placements, name=rname, copy=idx)
+                ServerRequest(server, placements, name=self._rname, copy=idx)
             )
         return plan
 
@@ -524,10 +526,9 @@ class FileHandle:
                 groups.setdefault((loc.server, idx), []).append(
                     SlicePlacement(s, loc.server, loc.local_offset + s.offset)
                 )
-        rname = replica_subfile(self.record.path)
         for (server, idx), placements in sorted(groups.items()):
             plan.append(
-                ServerRequest(server, placements, name=rname, copy=idx)
+                ServerRequest(server, placements, name=self._rname, copy=idx)
             )
         return plan
 
@@ -548,7 +549,7 @@ class FileHandle:
         missing: list[BrickSlice] = []
         with span("cache.lookup", slices=len(slices)) as cache_span:
             for s in slices:
-                cached = cache.get(self.record.path, s.brick_id)
+                cached = cache.get(self._id, s.brick_id)
                 if cached is not None:
                     payload[s.buffer_offset : s.buffer_offset + s.length] = cached[
                         s.offset : s.offset + s.length
@@ -592,7 +593,7 @@ class FileHandle:
                 for brick_id in range(hi + 1, hi + 1 + readahead):
                     if brick_id >= len(self.brick_map):
                         break
-                    if brick_id in seen or cache.peek(self.record.path, brick_id):
+                    if brick_id in seen or cache.peek(self._id, brick_id):
                         continue
                     loc = self.brick_map.location(brick_id)
                     if not cache.cacheable(loc.size):
@@ -612,7 +613,7 @@ class FileHandle:
         for w in whole:
             data = bytes(fetched[w.buffer_offset : w.buffer_offset + w.length])
             bricks[w.brick_id] = data
-            cache.put(self.record.path, w.brick_id, data)
+            cache.put(self._id, w.brick_id, data)
         exact_by_key = {
             (e.brick_id, e.offset, e.length): e.buffer_offset for e in exact
         }
@@ -647,7 +648,7 @@ class FileHandle:
             plan_span.tag(requests=len(plan), combine=self.combine)
 
         def fetch(req) -> int:
-            name = req.name if req.name is not None else self.record.path
+            name = req.name if req.name is not None else self._name
             try:
                 data = backend.read_extents(req.server, name, req.extents)
             except (DPFSError, OSError):
@@ -706,7 +707,7 @@ class FileHandle:
         if self._crc_matches(s.brick_id, blob):
             return blob
         self.fs._note_checksum_error()
-        self.fs.quarantine.add((self.record.path, s.brick_id, p.server))
+        self.fs.quarantine.add((self._id, s.brick_id, p.server))
         if not self._has_replicas():
             raise ChecksumError(
                 f"{self.record.path} brick {s.brick_id}: payload does not "
@@ -717,7 +718,7 @@ class FileHandle:
         good = self._read_alternate(s, exclude_server=p.server)
         # full brick: the placement's extent is the whole bad copy
         rewrite_copy(
-            self.fs, self.record.path, s.brick_id, p.server, name,
+            self.fs, self._id, s.brick_id, p.server, name,
             p.subfile_offset, s.length, bytes(good),
         )
         return good
@@ -739,7 +740,7 @@ class FileHandle:
         for _idx, loc, name in self._copy_locations(s.brick_id):
             if loc.server == exclude_server:
                 continue
-            if (self.record.path, s.brick_id, loc.server) in self.fs.quarantine:
+            if (self._id, s.brick_id, loc.server) in self.fs.quarantine:
                 continue
             try:
                 blob = backend.read_extents(
@@ -751,9 +752,7 @@ class FileHandle:
                 continue
             if verify and not self._crc_matches(s.brick_id, blob):
                 self.fs._note_checksum_error()
-                self.fs.quarantine.add(
-                    (self.record.path, s.brick_id, loc.server)
-                )
+                self.fs.quarantine.add((self._id, s.brick_id, loc.server))
                 continue
             return blob
         if last_exc is not None:
@@ -791,7 +790,7 @@ class FileHandle:
                     view[p.slice.buffer_offset : p.slice.buffer_offset + p.slice.length]
                     for p in placements
                 )
-            name = req.name if req.name is not None else self.record.path
+            name = req.name if req.name is not None else self._name
             bricks = self._request_bricks(req)
             returned = backend.write_extents(
                 req.server,
@@ -847,7 +846,7 @@ class FileHandle:
             with span("cache.patch", slices=len(slices)):
                 for s in slices:
                     cache.patch(
-                        self.record.path,
+                        self._id,
                         s.brick_id,
                         s.offset,
                         data[s.buffer_offset : s.buffer_offset + s.length],
@@ -885,7 +884,7 @@ class FileHandle:
             b: (names[server], version) for b, (_c, version, server) in chosen.items()
         }
         applied = self.fs.meta.update_brick_crcs(
-            self.record.path, {b: crc for b, (crc, _v, _s) in chosen.items()}, versions
+            self._id, {b: crc for b, (crc, _v, _s) in chosen.items()}, versions
         )
         for brick_id, crc in applied.items():
             self.record.brick_crcs[brick_id] = crc

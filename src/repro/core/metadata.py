@@ -14,10 +14,14 @@ paper's names become underscores — SQL identifiers):
     so reading a server's usage costs one row, whatever the namespace
     size; ``fsck`` recounts it from the bricklists (``usage-drift``).
 ``dpfs_file_distribution``
-    server_name, filename, bricklist (JSON) — how each file's bricks
-    are spread over subfiles.  A file has a row only on a server
-    holding one of its bricks (an older build wrote one, perhaps empty,
-    on every server), and its subfile exists exactly where a row does.
+    file_id, server_name, bricklist (JSON) — how each file's bricks
+    are spread over subfiles.  The paper keys a row by file name; here
+    it is keyed by the file's id (a foreign key into
+    ``dpfs_file_attr``, so dropping the file drops its rows), which a
+    rename leaves alone.  A file has a row only on a server holding one
+    of its bricks (an older build wrote one, perhaps empty, on every
+    server), and its subfiles exist exactly where a row does, named by
+    the id (:func:`~repro.core.brick.subfile_names`).
 ``dpfs_directory``
     main_dir, parent — the directory tree.  The paper's row holds JSON
     lists of its sub-directories and files; here every directory and
@@ -26,9 +30,10 @@ paper's names become underscores — SQL identifiers):
     the database refuses a statement that would orphan a child.
     ``listdir`` is two indexed SELECTs on ``parent``.
 ``dpfs_file_attr``
-    filename, owner, permission, size, filelevel, striping geometry
-    (JSON), placement, parent — per-file attributes incl. the §3 file
-    level.
+    file_id, filename, owner, permission, size, filelevel, striping
+    geometry (JSON), placement, parent — per-file attributes incl. the
+    §3 file level.  ``file_id`` is allocated by the create's INSERT and
+    never reused (AUTOINCREMENT), even after the file is removed.
 
 A fifth table, ``dpfs_file_replica``, extends the paper's schema with
 per-server *replica* bricklists (same shape as the distribution table)
@@ -43,9 +48,10 @@ file system above it works with :class:`FileRecord` objects.
 
 from __future__ import annotations
 
+import os
 import posixpath
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, NoReturn
 
 from ..errors import (
     ConstraintError,
@@ -55,7 +61,7 @@ from ..errors import (
     MetaDBError,
 )
 from ..metadb import Database
-from .brick import BrickMap, ReplicaMap
+from .brick import BrickMap, ReplicaMap, subfile_names
 from .checksum import CRC_ALGORITHM
 from .striping import FileLevel
 
@@ -114,6 +120,9 @@ class FileRecord:
     #: stamped by the server that hashed it; ``None`` = not set by a
     #: server write
     brick_crc_versions: list[list | None] = field(default_factory=list)
+    #: the file's never-reused id, which names its subfiles (0: not
+    #: created yet)
+    file_id: int = 0
 
     def __post_init__(self) -> None:
         self.pad_crcs()
@@ -134,41 +143,63 @@ _ROW_SERVER = "{} AS d CROSS JOIN dpfs_server AS s ON s.server_name = d.server_n
 # One brick-size row per (server, brick) of every distribution and
 # replica bricklist, and one row with a NULL size for an empty list (a
 # row an older build wrote for a server holding none of the file's
-# bricks).  LEFT JOIN fixes the join order: the bricklist is expanded
-# before the attr lookup.
+# bricks).  The CROSS JOINs fix the join order: a file's attr row, its
+# bricklist rows (through their key's ``file_id`` prefix), their
+# server, then the bricklist expanded.
 _BRICK_SIZES_OF = (
     "SELECT s.server_id AS server_id,"
     " json_extract(a.geometry, '$.brick_sizes[' || b.value || ']') AS size"
-    f" FROM {_ROW_SERVER} LEFT JOIN json_each(d.bricklist) AS b"
-    " LEFT JOIN dpfs_file_attr AS a ON a.filename = d.filename"
+    " FROM dpfs_file_attr AS a CROSS JOIN {} AS d ON d.file_id = a.file_id"
+    " CROSS JOIN dpfs_server AS s ON s.server_name = d.server_name"
+    " LEFT JOIN json_each(d.bricklist) AS b"
 )
 # The same rows for one file: every server holding one of its rows, and
 # what its bricks add to that server's ``used`` counter.  Index lookups
 # plus one walk of its bricklists.
 _FILE_BRICK_SIZES_SQL = " UNION ALL ".join(
-    _BRICK_SIZES_OF.format(table) + " WHERE d.filename = ?"
+    _BRICK_SIZES_OF.format(table) + " WHERE a.file_id = ?"
     for table in _BRICKLIST_TABLES
 )
 
 # a file's row servers; ``kind`` indexes :class:`Holders`
 _HOLDERS_SQL = " UNION ALL ".join(
     f"SELECT {kind} AS kind, s.server_id AS server_id"
-    f" FROM {_ROW_SERVER.format(table)} WHERE d.filename = ?"
+    f" FROM {_ROW_SERVER.format(table)} WHERE d.file_id = ?"
     for kind, table in enumerate(_BRICKLIST_TABLES)
+)
+
+# what a root written before file ids holds: rows keyed by file name and
+# subfiles named by path, the replica one with this suffix
+_LEGACY_REPLICA_SUFFIX = "//r"
+# the path-named subfiles a migrated root has yet to rename to id names
+_LEGACY_RENAMES = "dpfs_legacy_subfile"
+_ATTR_COLUMNS = (
+    "filename, owner, permission, size, filelevel, element_size,"
+    " geometry, placement, parent"
 )
 
 # Every directory and file row names its directory; the foreign key
 # (enforced: ``Database`` turns ``foreign_keys`` on) is the only record
 # of membership.
 _PARENT_COLUMN = "parent TEXT REFERENCES dpfs_directory (main_dir)"
-# sqlite's messages for a file attr insert refused by its primary key
-# and by its ``parent`` foreign key
+# sqlite's messages for a file attr insert or rename refused by its
+# unique name and by its ``parent`` foreign key
 _DUPLICATE_FILE = "UNIQUE constraint failed: dpfs_file_attr.filename"
 _NO_PARENT = "FOREIGN KEY constraint failed"
 _ANY_CHILD_SQL = (
     "SELECT 1 FROM dpfs_directory WHERE parent = ?"
     " UNION ALL SELECT 1 FROM dpfs_file_attr WHERE parent = ? LIMIT 1"
 )
+
+
+def _refused(exc: ConstraintError, norm: str, parent: str) -> NoReturn:
+    """Raise what a refused insert or rename of file ``norm`` means: its
+    name is taken, or its directory ``parent`` does not exist."""
+    if str(exc) == _DUPLICATE_FILE:
+        raise FileExists(norm) from exc
+    if str(exc) == _NO_PARENT:
+        raise FileNotFound(f"no such directory: {parent}") from exc
+    raise exc
 
 
 class Holders(NamedTuple):
@@ -215,46 +246,17 @@ class MetadataManager:
             " used INTEGER NOT NULL DEFAULT 0)"
         )
         self.db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_file_distribution ("
-            " dist_id TEXT PRIMARY KEY,"      # f"{server}|{filename}"
-            " server_name TEXT NOT NULL,"
-            " filename TEXT NOT NULL,"
-            " bricklist JSON NOT NULL)"
-        )
-        self.db.execute(
-            "CREATE INDEX IF NOT EXISTS dist_by_filename "
-            "ON dpfs_file_distribution (filename)"
-        )
-        self.db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_file_replica ("
-            " dist_id TEXT PRIMARY KEY,"      # f"{server}|{filename}"
-            " server_name TEXT NOT NULL,"
-            " filename TEXT NOT NULL,"
-            " bricklist JSON NOT NULL)"
-        )
-        self.db.execute(
-            "CREATE INDEX IF NOT EXISTS replica_by_filename "
-            "ON dpfs_file_replica (filename)"
-        )
-        self.db.execute(
             "CREATE TABLE IF NOT EXISTS dpfs_directory ("
             " main_dir TEXT PRIMARY KEY,"
             f" {_PARENT_COLUMN})"
         )
-        self.db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_file_attr ("
-            " filename TEXT PRIMARY KEY,"
-            " owner TEXT NOT NULL,"
-            " permission INTEGER NOT NULL,"
-            " size INTEGER NOT NULL,"
-            " filelevel TEXT NOT NULL,"
-            " element_size INTEGER NOT NULL,"
-            " geometry JSON NOT NULL,"        # shapes / pattern / grid / sizes
-            " placement TEXT NOT NULL,"
-            f" {_PARENT_COLUMN})"
-        )
+        keyed_by_name = "filename" in self._columns("dpfs_file_distribution")
         if "parent" not in self._columns("dpfs_directory"):
             self._migrate_to_parent_keys()
+        if keyed_by_name:
+            self._migrate_to_file_ids()
+        else:
+            self._create_file_tables()
         self.db.execute(
             "CREATE INDEX IF NOT EXISTS dir_by_parent "
             "ON dpfs_directory (parent, main_dir)"
@@ -276,6 +278,39 @@ class MetadataManager:
                     " ADD COLUMN used INTEGER NOT NULL DEFAULT 0"
                 )
                 rewrite_usage(self, usage_oracle(self))
+
+    def _create_file_tables(self) -> None:
+        fresh = not self._columns("dpfs_file_attr")
+        self.db.execute(
+            "CREATE TABLE IF NOT EXISTS dpfs_file_attr ("
+            " file_id INTEGER PRIMARY KEY AUTOINCREMENT,"
+            " filename TEXT NOT NULL UNIQUE,"
+            " owner TEXT NOT NULL,"
+            " permission INTEGER NOT NULL,"
+            " size INTEGER NOT NULL,"
+            " filelevel TEXT NOT NULL,"
+            " element_size INTEGER NOT NULL,"
+            " geometry JSON NOT NULL,"        # shapes / pattern / grid / sizes
+            " placement TEXT NOT NULL,"
+            f" {_PARENT_COLUMN})"
+        )
+        if fresh:
+            # ids start at a random point of a 62-bit range, so namespaces
+            # (metadata databases) that share storage servers do not pick
+            # the same subfile names
+            self.db.execute(
+                "INSERT INTO sqlite_sequence VALUES ('dpfs_file_attr', ?)",
+                [int.from_bytes(os.urandom(8), "big") >> 2],
+            )
+        for table in _BRICKLIST_TABLES:
+            self.db.execute(
+                f"CREATE TABLE IF NOT EXISTS {table} ("
+                " file_id INTEGER NOT NULL"
+                " REFERENCES dpfs_file_attr (file_id) ON DELETE CASCADE,"
+                " server_name TEXT NOT NULL,"
+                " bricklist JSON NOT NULL,"
+                " PRIMARY KEY (file_id, server_name))"
+            )
 
     def _columns(self, table: str) -> set[str]:
         rows = self.db.execute(f"PRAGMA table_info({table})").rows
@@ -315,6 +350,96 @@ class MetadataManager:
                     "UPDATE dpfs_file_attr SET parent = ? WHERE filename = ?",
                     [posixpath.dirname(path), path],
                 )
+
+    def _migrate_to_file_ids(self) -> None:
+        """Key a root written before file ids: give every file an id,
+        re-key its rows by it, and list the path-named subfiles on its
+        row servers that :meth:`legacy_subfiles` hands to the mount to
+        rename.  Refused while the old intent journal holds anything:
+        only the build that wrote an intent knows how to finish it."""
+        if "dpfs_intent" in self.db.table_names():
+            pending = self.db.execute(
+                "SELECT intent_id, op, args FROM dpfs_intent ORDER BY intent_id"
+            ).rows
+            if pending:
+                names = ", ".join(
+                    f"{row['intent_id']} ({row['op']} "
+                    f"{row['args'].get('path') or row['args'].get('old')})"
+                    for row in pending
+                )
+                raise MetaDBError(
+                    f"this root names subfiles by path and its intent journal "
+                    f"holds {len(pending)} pending intent(s): {names}; finish "
+                    f"them with `dpfs recover` from the build that wrote them, "
+                    f"then mount again"
+                )
+        legacy = ("dpfs_file_attr", *_BRICKLIST_TABLES)
+        with self.db.transaction():
+            for table in legacy:
+                self.db.execute(f"ALTER TABLE {table} RENAME TO legacy_{table}")
+            # the renamed tables keep their indexes' names
+            for index in ("file_by_parent", "dist_by_filename", "replica_by_filename"):
+                self.db.execute(f"DROP INDEX IF EXISTS {index}")
+            self.db.execute("DROP TABLE IF EXISTS dpfs_intent")
+            self._create_file_tables()
+            self.db.execute(
+                f"INSERT INTO dpfs_file_attr ({_ATTR_COLUMNS}) SELECT"
+                f" {_ATTR_COLUMNS} FROM legacy_dpfs_file_attr ORDER BY filename"
+            )
+            for table in _BRICKLIST_TABLES:
+                self.db.execute(
+                    f"INSERT INTO {table} SELECT a.file_id, d.server_name,"
+                    f" d.bricklist FROM legacy_{table} AS d"
+                    " JOIN dpfs_file_attr AS a USING (filename)"
+                )
+            self.db.execute(
+                f"CREATE TABLE {_LEGACY_RENAMES} (server_id INTEGER NOT NULL,"
+                " old TEXT NOT NULL, new TEXT NOT NULL)"
+            )
+            # an older build reached both of a replicated file's
+            # subfiles on every one of its row servers
+            for row in self.db.execute(
+                "SELECT DISTINCT s.server_id, a.file_id, a.filename,"
+                " json_extract(a.geometry, '$.replicas') > 1 AS replicated"
+                " FROM (SELECT file_id, server_name FROM dpfs_file_distribution"
+                " UNION SELECT file_id, server_name FROM dpfs_file_replica) AS d"
+                " JOIN dpfs_server AS s USING (server_name)"
+                " JOIN dpfs_file_attr AS a USING (file_id)"
+            ).rows:
+                path = row["filename"]
+                pairs = zip(
+                    (path, path + _LEGACY_REPLICA_SUFFIX),
+                    subfile_names(row["file_id"])[: 2 if row["replicated"] else 1],
+                )
+                for old, new in pairs:
+                    self.db.execute(
+                        f"INSERT INTO {_LEGACY_RENAMES} VALUES (?, ?, ?)",
+                        [row["server_id"], old, new],
+                    )
+            for table in legacy:
+                self.db.execute(f"DROP TABLE legacy_{table}")
+
+    def legacy_subfiles(self) -> dict[int, list[tuple[str, str]]]:
+        """The ``(path name, id name)`` subfile renames a migrated root
+        still needs, by server (empty once every server has done them)."""
+        pending: dict[int, list[tuple[str, str]]] = {}
+        if self._columns(_LEGACY_RENAMES):
+            for row in self.db.execute(
+                f"SELECT server_id, old, new FROM {_LEGACY_RENAMES}"
+            ).rows:
+                pending.setdefault(row["server_id"], []).append(
+                    (row["old"], row["new"])
+                )
+        return pending
+
+    def legacy_subfiles_renamed(self, server: int) -> None:
+        """Record that ``server`` holds no path-named subfile any more."""
+        with self.db.transaction():
+            self.db.execute(
+                f"DELETE FROM {_LEGACY_RENAMES} WHERE server_id = ?", [server]
+            )
+            if not self.db.execute(f"SELECT 1 FROM {_LEGACY_RENAMES} LIMIT 1").rows:
+                self.db.execute(f"DROP TABLE {_LEGACY_RENAMES}")
 
     def register_servers(self, infos: list[Any]) -> None:
         """Record the backend's servers in dpfs_server (idempotent)."""
@@ -432,11 +557,12 @@ class MetadataManager:
         brick_map: BrickMap,
         server_names: list[str],
         replica_map: ReplicaMap | None = None,
-    ) -> None:
+    ) -> int:
         """Insert attr + bricklist rows, keyed to the parent directory,
         and charge the bricks to their servers' ``used`` counters.  The
-        attr row's primary key refuses a second file of the same name
-        and its ``parent`` foreign key a missing directory."""
+        attr row's unique name refuses a second file of the same name
+        and its ``parent`` foreign key a missing directory.  Returns the
+        file's new id, also set on ``record``."""
         norm = normalize_path(record.path)
         parent, _base = split_path(norm)
         with self.db.transaction():
@@ -456,8 +582,9 @@ class MetadataManager:
                 "crc_algo": record.crc_algo,
             }
             try:
-                self.db.execute(
-                    "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                file_id = self.db.execute(
+                    f"INSERT INTO dpfs_file_attr ({_ATTR_COLUMNS})"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     [
                         norm,
                         record.owner,
@@ -469,32 +596,35 @@ class MetadataManager:
                         record.placement,
                         parent,
                     ],
-                )
+                ).lastrowid
             except ConstraintError as exc:
-                if str(exc) == _DUPLICATE_FILE:
-                    raise FileExists(norm) from exc
-                if str(exc) == _NO_PARENT:
-                    raise FileNotFound(f"no such directory: {parent}") from exc
-                raise
-            self._write_bricklists(norm, brick_map, replica_map, server_names)
+                _refused(exc, norm, parent)
+            self._write_bricklists(file_id, brick_map, replica_map, server_names)
             for server in range(len(server_names)):
                 nbytes = brick_map.subfile_size(server)
                 if replica_map is not None:
                     nbytes += replica_map.subfile_size(server)
                 if nbytes:
                     self._add_used(server, nbytes)
+        record.file_id = file_id
+        return file_id
 
-    def load_file(self, path: str) -> tuple[FileRecord, BrickMap]:
-        norm = normalize_path(path)
+    def load_file(self, path: str | int) -> tuple[FileRecord, BrickMap]:
+        """A file's record and brick map, by path or by file id (how an
+        open handle finds its file after a rename)."""
+        if isinstance(path, int):
+            column, key = "file_id", path
+        else:
+            column, key = "filename", normalize_path(path)
         rows = self.db.execute(
-            "SELECT * FROM dpfs_file_attr WHERE filename = ?", [norm]
+            f"SELECT * FROM dpfs_file_attr WHERE {column} = ?", [key]
         ).rows
         if not rows:
-            raise FileNotFound(norm)
+            raise FileNotFound(str(key))
         attr = rows[0]
         geometry = attr["geometry"]
         record = FileRecord(
-            path=norm,
+            path=attr["filename"],
             owner=attr["owner"],
             permission=attr["permission"],
             size=attr["size"],
@@ -512,11 +642,12 @@ class MetadataManager:
             brick_crcs=list(geometry.get("brick_crcs") or []),
             crc_algo=geometry.get("crc_algo", CRC_ALGORITHM),
             brick_crc_versions=list(geometry.get("brick_crc_versions") or []),
+            file_id=attr["file_id"],
         )
         dist = self.db.execute(
             "SELECT server_name, bricklist FROM dpfs_file_distribution "
-            "WHERE filename = ?",
-            [norm],
+            "WHERE file_id = ?",
+            [record.file_id],
         ).rows
         order = {row["server_name"]: row["server_id"] for row in self.servers()}
         bricklists: list[list[int]] = [[] for _ in order]
@@ -531,15 +662,14 @@ class MetadataManager:
         brick_map = BrickMap.from_lists(bricklists, record.brick_sizes)
         return record, brick_map
 
-    def load_replica_map(self, path: str, record: FileRecord) -> ReplicaMap:
+    def load_replica_map(self, record: FileRecord) -> ReplicaMap:
         """The file's replica bricklists (empty map for replicas == 1)."""
-        norm = normalize_path(path)
         order = {row["server_name"]: row["server_id"] for row in self.servers()}
         bricklists: list[list[int]] = [[] for _ in order]
         for row in self.db.execute(
             "SELECT server_name, bricklist FROM dpfs_file_replica "
-            "WHERE filename = ?",
-            [norm],
+            "WHERE file_id = ?",
+            [record.file_id],
         ).rows:
             server_id = order.get(row["server_name"])
             if server_id is None:
@@ -552,7 +682,7 @@ class MetadataManager:
 
     def update_brick_crcs(
         self,
-        path: str,
+        file_id: int,
         crcs: dict[int, int | None],
         versions: dict[int, tuple[str, int]] | None = None,
     ) -> dict[int, int | None]:
@@ -571,14 +701,13 @@ class MetadataManager:
         """
         if not crcs:
             return {}
-        norm = normalize_path(path)
         with self.db.transaction():
             rows = self.db.execute(
-                "SELECT geometry FROM dpfs_file_attr WHERE filename = ?",
-                [norm],
+                "SELECT geometry FROM dpfs_file_attr WHERE file_id = ?",
+                [file_id],
             ).rows
             if not rows:
-                raise FileNotFound(norm)
+                raise FileNotFound(f"file id {file_id}")
             geometry = dict(rows[0]["geometry"])
             n = len(geometry["brick_sizes"])
             stored = list(geometry.get("brick_crcs") or [])
@@ -605,25 +734,25 @@ class MetadataManager:
             geometry["brick_crc_versions"] = stamps
             geometry.setdefault("crc_algo", CRC_ALGORITHM)
             self.db.execute(
-                "UPDATE dpfs_file_attr SET geometry = ? WHERE filename = ?",
-                [geometry, norm],
+                "UPDATE dpfs_file_attr SET geometry = ? WHERE file_id = ?",
+                [geometry, file_id],
             )
         return applied
 
-    def update_file_size(self, path: str, size: int) -> None:
+    def update_file_size(self, file_id: int, size: int) -> None:
         self.db.execute(
-            "UPDATE dpfs_file_attr SET size = ? WHERE filename = ?",
-            [size, normalize_path(path)],
+            "UPDATE dpfs_file_attr SET size = ? WHERE file_id = ?",
+            [size, file_id],
         )
 
-    def _grow_geometry(self, norm: str, brick_sizes: list[int]) -> None:
+    def _grow_geometry(self, file_id: int, brick_sizes: list[int]) -> None:
         """Extend geometry's brick_sizes/brick_crcs (caller holds txn)."""
         rows = self.db.execute(
-            "SELECT geometry FROM dpfs_file_attr WHERE filename = ?",
-            [norm],
+            "SELECT geometry FROM dpfs_file_attr WHERE file_id = ?",
+            [file_id],
         ).rows
         if not rows:
-            raise FileNotFound(norm)
+            raise FileNotFound(f"file id {file_id}")
         geometry = dict(rows[0]["geometry"])
         geometry["brick_sizes"] = list(brick_sizes)
         n = len(brick_sizes)
@@ -632,13 +761,13 @@ class MetadataManager:
             values += [None] * (n - len(values))  # new bricks: crc unknown
             geometry[key] = values[:n]
         self.db.execute(
-            "UPDATE dpfs_file_attr SET geometry = ? WHERE filename = ?",
-            [geometry, norm],
+            "UPDATE dpfs_file_attr SET geometry = ? WHERE file_id = ?",
+            [geometry, file_id],
         )
 
     def _write_bricklists(
         self,
-        norm: str,
+        file_id: int,
         brick_map: BrickMap,
         replica_map: ReplicaMap | None,
         server_names: list[str],
@@ -653,44 +782,37 @@ class MetadataManager:
             for server, bricklist in enumerate(lists):
                 if bricklist:
                     self.db.execute(
-                        f"INSERT INTO {table} VALUES (?, ?, ?, ?)"
-                        " ON CONFLICT (dist_id)"
+                        f"INSERT INTO {table} VALUES (?, ?, ?)"
+                        " ON CONFLICT (file_id, server_name)"
                         " DO UPDATE SET bricklist = excluded.bricklist",
-                        [
-                            f"{server_names[server]}|{norm}",
-                            server_names[server],
-                            norm,
-                            bricklist,
-                        ],
+                        [file_id, server_names[server], bricklist],
                     )
 
     def reserve_rows(
-        self, path: str, holders: Holders, server_names: list[str]
+        self, file_id: int, holders: Holders, server_names: list[str]
     ) -> None:
         """Give a file an empty row on each of ``holders``' servers
-        lacking one, so remove and rename reach a subfile grow makes
-        there even if the grow never commits."""
-        norm = normalize_path(path)
+        lacking one, so remove reaches a subfile grow makes there even
+        if the grow never commits."""
         with self.db.transaction():
             for table, servers in zip(_BRICKLIST_TABLES, holders):
                 for server in servers:
-                    name = server_names[server]
                     self.db.execute(
-                        f"INSERT INTO {table} VALUES (?, ?, ?, '[]')"
-                        " ON CONFLICT (dist_id) DO NOTHING",
-                        [f"{name}|{norm}", name, norm],
+                        f"INSERT INTO {table} VALUES (?, ?, '[]')"
+                        " ON CONFLICT (file_id, server_name) DO NOTHING",
+                        [file_id, server_names[server]],
                     )
 
-    def holders(self, path: str) -> Holders:
+    def holders(self, file_id: int) -> Holders:
         """The servers holding the file's rows."""
         holders = Holders([], [])
-        for row in self.db.execute(_HOLDERS_SQL, [normalize_path(path)] * 2):
+        for row in self.db.execute(_HOLDERS_SQL, [file_id] * 2):
             holders[row["kind"]].append(row["server_id"])
         return holders
 
     def grow_file(
         self,
-        path: str,
+        file_id: int,
         brick_map: BrickMap,
         brick_sizes: list[int],
         server_names: list[str],
@@ -704,18 +826,14 @@ class MetadataManager:
         needs no intent: new bricks materialise lazily on first write,
         so after the commit nothing is left to do, and before it at most
         empty rows (:meth:`reserve_rows`) and empty subfiles exist,
-        which remove, rename and the next grow reach.
+        which remove and the next grow reach.
         """
-        norm = normalize_path(path)
         with self.db.transaction():
-            self._charge_usage(norm, -1)
-            self._grow_geometry(norm, brick_sizes)
-            self._write_bricklists(norm, brick_map, replica_map, server_names)
-            self.db.execute(
-                "UPDATE dpfs_file_attr SET size = ? WHERE filename = ?",
-                [new_size, norm],
-            )
-            self._charge_usage(norm, 1)
+            self._charge_usage(file_id, -1)
+            self._grow_geometry(file_id, brick_sizes)
+            self._write_bricklists(file_id, brick_map, replica_map, server_names)
+            self.update_file_size(file_id, new_size)
+            self._charge_usage(file_id, 1)
 
     def _add_used(self, server: int, nbytes: int) -> None:
         self.db.execute(
@@ -723,12 +841,12 @@ class MetadataManager:
             [nbytes, server],
         )
 
-    def _charge_usage(self, norm: str, sign: int) -> list[int]:
+    def _charge_usage(self, file_id: int, sign: int) -> list[int]:
         """Add (``sign=1``) or subtract (``-1``) one file's bricks to or
         from each server's ``used`` counter (caller holds the txn).
         Returns every server holding a row of the file, ascending."""
         by_server: dict[int, int] = {}
-        for row in self.db.execute(_FILE_BRICK_SIZES_SQL, [norm, norm]).rows:
+        for row in self.db.execute(_FILE_BRICK_SIZES_SQL, [file_id] * 2).rows:
             server = row["server_id"]
             by_server[server] = by_server.get(server, 0) + (row["size"] or 0)
         for server, nbytes in by_server.items():
@@ -736,55 +854,48 @@ class MetadataManager:
                 self._add_used(server, sign * nbytes)
         return sorted(by_server)
 
-    def remove_file(self, path: str) -> list[int]:
-        """Drop a file's rows and uncharge its bricks; returns the
-        servers that held its rows."""
+    def remove_file(self, path: str) -> tuple[int, list[int]]:
+        """Drop a file's attr row (its bricklist rows go with it) and
+        uncharge its bricks; returns its id and the servers that held
+        its rows."""
         norm = normalize_path(path)
         with self.db.transaction():
-            servers = self._charge_usage(norm, -1)
-            deleted = self.db.execute(
-                "DELETE FROM dpfs_file_attr WHERE filename = ?", [norm]
-            )
-            if not deleted.rowcount:
+            file_id = self.db.execute(
+                "SELECT file_id FROM dpfs_file_attr WHERE filename = ?", [norm]
+            ).scalar()
+            if file_id is None:
                 raise FileNotFound(norm)
-            for table in _BRICKLIST_TABLES:
-                self.db.execute(f"DELETE FROM {table} WHERE filename = ?", [norm])
-        return servers
+            servers = self._charge_usage(file_id, -1)
+            self.db.execute("DELETE FROM dpfs_file_attr WHERE file_id = ?", [file_id])
+        return file_id, servers
 
-    def rename_file(self, old: str, new: str) -> tuple[bool, Holders]:
-        """mv: re-key a file's attr (name and parent) and bricklist rows.
+    def rename_file(self, old: str, new: str) -> None:
+        """mv: give a file a new name and parent.  Its id, its rows and
+        its subfiles stay as they are.
 
-        Returns whether the file is replicated and the servers holding
-        its rows.  Directories cannot be renamed (children embed the
-        parent path); the shell's ``mv`` therefore applies to files only.
+        Directories cannot be renamed (children embed the parent path);
+        the shell's ``mv`` therefore applies to files only.
         """
         old_norm = normalize_path(old)
         new_norm = normalize_path(new)
         new_parent, _base = split_path(new_norm)
         with self.db.transaction():
-            if not self.file_exists(old_norm):
+            if self.dir_exists(new_norm):
+                raise FileExists(new_norm)
+            try:
+                renamed = self.db.execute(
+                    "UPDATE dpfs_file_attr SET filename = ?, parent = ?"
+                    " WHERE filename = ?",
+                    [new_norm, new_parent, old_norm],
+                ).rowcount
+            except ConstraintError as exc:
+                _refused(exc, new_norm, new_parent)
+            if not renamed:
                 if self.dir_exists(old_norm):
                     raise InvalidPath(
                         f"cannot rename directory {old_norm!r} (files only)"
                     )
                 raise FileNotFound(old_norm)
-            if self.file_exists(new_norm) or self.dir_exists(new_norm):
-                raise FileExists(new_norm)
-            if not self.dir_exists(new_parent):
-                raise FileNotFound(f"no such directory: {new_parent}")
-            replicas = self.db.execute(
-                "UPDATE dpfs_file_attr SET filename = ?, parent = ?"
-                " WHERE filename = ?"
-                " RETURNING json_extract(geometry, '$.replicas')",
-                [new_norm, new_parent, old_norm],
-            ).scalar()
-            for table in _BRICKLIST_TABLES:
-                self.db.execute(
-                    f"UPDATE {table} SET dist_id = server_name || '|' || ?,"
-                    " filename = ? WHERE filename = ?",
-                    [new_norm, new_norm, old_norm],
-                )
-            return (replicas or 1) > 1, self.holders(new_norm)
 
     def tree_usage(self, path: str) -> int:
         """Total logical bytes of all files at or under ``path`` (du)."""

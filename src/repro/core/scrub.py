@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..errors import DPFSError
-from .brick import replica_subfile
+from .brick import subfile_names
 from .checksum import checksum_fn
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,9 +116,9 @@ def scrub(fs: "DPFS", repair: bool = False) -> ScrubReport:
     c_findings = fs.metrics.counter(
         "dpfs_scrub_findings_total", "bad copies found by the scrubber"
     )
-    # a crashed multi-step operation can make a path look corrupt
-    # (half-renamed subfiles, missing replicas); surface the journal
-    # state so the operator recovers before trusting data findings
+    # a crashed remove or refill can make a path look corrupt (a
+    # half-refilled replica); surface the journal state so the operator
+    # recovers before trusting data findings
     for intent in fs.intents.pending():
         report.findings.append(
             ScrubFinding(
@@ -160,9 +160,8 @@ def verify_file_copies(
     meta = fs.meta
     backend = fs.backend
     record, bmap = meta.load_file(path)
-    rmap = (
-        meta.load_replica_map(path, record) if record.replicas > 1 else None
-    )
+    rmap = meta.load_replica_map(record) if record.replicas > 1 else None
+    file_id = record.file_id
     try:
         crc = checksum_fn(record.crc_algo)
     except KeyError:
@@ -175,12 +174,12 @@ def verify_file_copies(
         ]
     findings: list[ScrubFinding] = []
     new_crcs: dict[int, int | None] = {}
-    rname = replica_subfile(path)
+    name, rname = subfile_names(file_id)
     for brick_id in range(len(bmap)):
         if report is not None:
             report.bricks_checked += 1
         loc = bmap.location(brick_id)
-        copies = [(loc.server, path, loc.local_offset, loc.size)]
+        copies = [(loc.server, name, loc.local_offset, loc.size)]
         if rmap is not None:
             copies += [
                 (rl.server, rname, rl.local_offset, rl.size)
@@ -188,15 +187,15 @@ def verify_file_copies(
             ]
         datas: dict[tuple[int, str], bytes] = {}
         unreadable: list[tuple[int, str, int, int, str]] = []
-        for server, name, off, size in copies:
+        for server, copy_name, off, size in copies:
             if report is not None:
                 report.copies_checked += 1
             try:
-                datas[(server, name)] = bytes(
-                    backend.read_extents(server, name, [(off, size)])
+                datas[(server, copy_name)] = bytes(
+                    backend.read_extents(server, copy_name, [(off, size)])
                 )
             except (DPFSError, OSError) as exc:
-                unreadable.append((server, name, off, size, str(exc)))
+                unreadable.append((server, copy_name, off, size, str(exc)))
         crcs = {k: crc(v, 0) for k, v in datas.items()}
         stored = (
             record.brick_crcs[brick_id]
@@ -215,33 +214,33 @@ def verify_file_copies(
             for key, value in crcs.items():
                 if value == stored:
                     continue
-                server, name = key
+                server, copy_name = key
                 off, size = _copy_extent(copies, key)
                 repaired = repair and rewrite_copy(
-                    fs, path, brick_id, server, name, off, size,
+                    fs, file_id, brick_id, server, copy_name, off, size,
                     datas[good_key],
                 )
                 if not repaired:
-                    fs.quarantine.add((path, brick_id, server))
+                    fs.quarantine.add((file_id, brick_id, server))
                 findings.append(
                     ScrubFinding(
                         "checksum-mismatch", path, brick_id, server,
-                        f"copy in {name!r} does not match stored "
+                        f"copy in {copy_name!r} does not match stored "
                         f"{record.crc_algo} checksum",
                         repaired,
                     )
                 )
-            for server, name, off, size, why in unreadable:
+            for server, copy_name, off, size, why in unreadable:
                 repaired = repair and rewrite_copy(
-                    fs, path, brick_id, server, name, off, size,
+                    fs, file_id, brick_id, server, copy_name, off, size,
                     datas[good_key], create=True,
                 )
                 if not repaired:
-                    fs.quarantine.add((path, brick_id, server))
+                    fs.quarantine.add((file_id, brick_id, server))
                 findings.append(
                     ScrubFinding(
                         "unreadable-copy", path, brick_id, server,
-                        f"copy in {name!r} unreadable: {why}", repaired,
+                        f"copy in {copy_name!r} unreadable: {why}", repaired,
                     )
                 )
             continue
@@ -282,19 +281,19 @@ def verify_file_copies(
             for key, v in crcs.items():
                 if v == value:
                     continue
-                server, name = key
+                server, copy_name = key
                 off, size = _copy_extent(copies, key)
                 ok = repair and rewrite_copy(
-                    fs, path, brick_id, server, name, off, size,
+                    fs, file_id, brick_id, server, copy_name, off, size,
                     datas[majority_key],
                 )
                 if not ok:
-                    fs.quarantine.add((path, brick_id, server))
+                    fs.quarantine.add((file_id, brick_id, server))
                     repaired_all = False
                 findings.append(
                     ScrubFinding(
                         "replica-divergence", path, brick_id, server,
-                        f"copy in {name!r} disagrees with the majority "
+                        f"copy in {copy_name!r} disagrees with the majority "
                         f"({votes}/{len(crcs)} copies)",
                         ok,
                     )
@@ -310,7 +309,7 @@ def verify_file_copies(
                 )
             )
     if repair and new_crcs:
-        meta.update_brick_crcs(path, new_crcs)
+        meta.update_brick_crcs(file_id, new_crcs)
     return findings
 
 
@@ -325,7 +324,7 @@ def _copy_extent(
 
 def rewrite_copy(
     fs: "DPFS",
-    path: str,
+    file_id: int,
     brick_id: int,
     server: int,
     name: str,
@@ -347,8 +346,8 @@ def rewrite_copy(
         fs.backend.write_extents(server, name, [(off, size)], good)
     except (DPFSError, OSError):
         return False
-    fs.quarantine.discard((path, brick_id, server))
+    fs.quarantine.discard((file_id, brick_id, server))
     fs._note_repair()
     if fs.cache is not None:
-        fs.cache.invalidate_file(path)
+        fs.cache.invalidate_file(file_id)
     return True

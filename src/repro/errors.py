@@ -26,7 +26,6 @@ __all__ = [
     "PlacementError",
     "ChecksumError",
     "ReplicationError",
-    "IntentError",
     "MultiServerError",
     # parallel dispatch
     "DispatchError",
@@ -119,10 +118,6 @@ class ChecksumError(FileSystemError):
 class ReplicationError(FileSystemError):
     """Replica configuration or layout violation (replicas > servers,
     two copies of a brick on one server, ...)."""
-
-
-class IntentError(FileSystemError):
-    """Malformed intent-journal record or illegal journal operation."""
 
 
 class MultiServerError(FileSystemError):

@@ -44,10 +44,13 @@ _OLD_FORMAT_SUFFIXES = (".snapshot.json", ".wal")
 
 @dataclass
 class ResultSet:
-    """Outcome of one statement: result rows and/or affected-row count."""
+    """Outcome of one statement: result rows and/or affected-row count,
+    and the rowid an INSERT gave its row (RETURNING would get it too,
+    but makes sqlite buffer the result in a temporary table)."""
 
     rows: list[dict[str, Any]] = field(default_factory=list)
     rowcount: int = 0
+    lastrowid: int | None = None
 
     def __iter__(self):
         return iter(self.rows)
@@ -110,7 +113,9 @@ class Database:
             try:
                 cursor = self._conn.execute(sql, args)
                 if cursor.description is None:
-                    return ResultSet(rowcount=max(cursor.rowcount, 0))
+                    return ResultSet(
+                        rowcount=max(cursor.rowcount, 0), lastrowid=cursor.lastrowid
+                    )
                 names = [d[0] for d in cursor.description]
                 rows = [dict(zip(names, row)) for row in cursor.fetchall()]
             except sqlite3.IntegrityError as exc:

@@ -30,8 +30,14 @@ from collections import deque
 from pathlib import Path
 from typing import Any
 
-from ..backends.base import BrickCrc, VersionClock
-from ..backends.local import escape_subfile_name, write_subfile
+from ..backends.base import VersionClock
+from ..backends.local import (
+    create_subfile,
+    delete_subfile,
+    escape_subfile_name,
+    read_subfile,
+    write_subfile,
+)
 from ..core.checksum import CRC_ALGORITHM
 from ..errors import ProtocolError
 from ..obs.registry import MetricsRegistry
@@ -199,8 +205,8 @@ class DPFSServer:
         self.stop()
 
     # -- request dispatch -----------------------------------------------------
-    def _path(self, name: str) -> Path:
-        return self.root / escape_subfile_name(name)
+    def _path(self, name: str) -> str:
+        return os.path.join(self.root, escape_subfile_name(name))
 
     def _dispatch(self, header: dict[str, Any], payload: bytes) -> tuple[dict[str, Any], bytes]:
         op = header.get("op")
@@ -308,30 +314,26 @@ class DPFSServer:
         name = header.get("name")
         if not isinstance(name, str) or not name:
             raise ProtocolError("missing subfile name")
+        # a missing subfile raises FileNotFoundError, which the client
+        # turns back into a FileSystemError: a silent ok would let
+        # metadata and storage diverge unnoticed
         path = self._path(name)
         if op == "create":
-            path.touch()
+            create_subfile(path)
             return {"ok": True}, b""
         if op == "delete":
-            if path.exists():
-                path.unlink()
+            delete_subfile(path)
             return {"ok": True}, b""
         if op == "exists":
-            return {"ok": True, "exists": path.exists()}, b""
+            return {"ok": True, "exists": os.path.exists(path)}, b""
         if op == "rename":
             new_name = header.get("new_name")
             if not isinstance(new_name, str) or not new_name:
                 raise ProtocolError("rename needs new_name")
-            if not path.exists():
-                # a silent ok here would let metadata and storage
-                # diverge unnoticed; fail loudly like ``size`` does
-                raise FileNotFoundError(f"no subfile {name!r}")
-            path.replace(self._path(new_name))
+            os.replace(path, self._path(new_name))
             return {"ok": True}, b""
         if op == "size":
-            if not path.exists():
-                raise FileNotFoundError(f"no subfile {name!r}")
-            return {"ok": True, "size": path.stat().st_size}, b""
+            return {"ok": True, "size": os.stat(path).st_size}, b""
         extents = [
             (int(off), int(ln)) for off, ln in header.get("extents", [])
         ]
@@ -339,7 +341,8 @@ class DPFSServer:
             if off < 0 or ln < 0:
                 raise ProtocolError(f"invalid extent ({off}, {ln})")
         if op == "read":
-            return {"ok": True}, self._read(path, name, extents)
+            with self._io_lock:
+                return {"ok": True}, read_subfile(path, extents)
         # write
         total = sum(ln for _o, ln in extents)
         if total != len(payload):
@@ -348,37 +351,6 @@ class DPFSServer:
             )
         bricks = _parse_bricks(header.get("bricks", []))
         algo = str(header.get("brick_algo", CRC_ALGORITHM))
-        crcs = self._write(path, name, extents, payload, bricks, algo)
-        return {"ok": True, "crcs": crcs}, b""
-
-    # -- local I/O (serialized — the device is sequential, §4.2) ------------
-    def _read(self, path: Path, name: str, extents: list[Extent]) -> bytes:
-        if not path.exists():
-            raise FileNotFoundError(f"no subfile {name!r}")
-        out = bytearray()
-        with self._io_lock, open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            for off, ln in extents:
-                if off < size:
-                    fh.seek(off)
-                    chunk = fh.read(min(ln, size - off))
-                else:
-                    chunk = b""
-                if len(chunk) < ln:
-                    chunk += b"\x00" * (ln - len(chunk))
-                out += chunk
-        return bytes(out)
-
-    def _write(
-        self,
-        path: Path,
-        name: str,
-        extents: list[Extent],
-        payload: bytes,
-        bricks: list[Extent],
-        algo: str,
-    ) -> list[BrickCrc]:
-        if not path.exists():
-            raise FileNotFoundError(f"no subfile {name!r}")
         with self._io_lock:
-            return write_subfile(path, extents, payload, bricks, algo, self._clock)
+            crcs = write_subfile(path, extents, payload, bricks, algo, self._clock)
+        return {"ok": True, "crcs": crcs}, b""

@@ -73,19 +73,22 @@ def test_write_fault_leaves_metadata_consistent(fs, faulty):
 
 
 def test_create_fault_aborts_cleanly(fs, faulty):
-    """If subfile creation fails mid-fan-out, the create rolls back
-    completely: every reachable server was still attempted, the failure
-    surfaces as one aggregate error, and the namespace stays reusable."""
+    """If subfile creation fails mid-fan-out, the failure surfaces as
+    one aggregate error.  The file's rows committed first and no byte
+    of it was written, so fsck --repair recreates the missing subfile
+    empty and the file is usable again: nothing is lost or orphaned."""
     faulty.fail_next("create")
     with pytest.raises(MultiServerError) as excinfo:
         fs.write_file("/doomed", b"x" * 10)
     assert any(isinstance(e, InjectedFault) for _s, e in excinfo.value.errors)
-    # metadata never committed and the orphan subfiles were undone
-    assert not fs.exists("/doomed")
+    report = fsck(fs, repair=True)
+    assert [(f.kind, f.repaired) for f in report.findings] == [
+        ("missing-subfile", True)
+    ]
     assert fsck(fs).clean
-    # and the namespace is reusable
-    fs.write_file("/doomed", b"fresh")
-    assert fs.read_file("/doomed") == b"fresh"
+    with fs.open("/doomed", "r+") as handle:
+        handle.write(0, b"fresh")
+    assert fs.read_file("/doomed") == b"fresh" + bytes(5)
 
 
 def test_per_server_fault_with_combination(fs, faulty):

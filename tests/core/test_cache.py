@@ -156,8 +156,9 @@ def test_remove_invalidates(cached_fs):
     fs.write_file("/f", b"x" * 1000)
     fs.read_file("/f")
     assert fs.cache is not None and len(fs.cache) > 0
+    file_id = fs.meta.load_file("/f")[0].file_id
     fs.remove("/f")
-    assert all(key[0] != "/f" for key in fs.cache._entries)
+    assert all(key[0] != file_id for key in fs.cache._entries)
     # recreate with different contents: no stale reads
     fs.write_file("/f", b"y" * 1000)
     assert fs.read_file("/f") == b"y" * 1000

@@ -2,19 +2,19 @@
 
 A durable commit is an explicit COMMIT, or a row-changing statement
 that runs outside a transaction and so commits on its own; on a file
-database each one is a WAL fsync.  Budgets: create 2 (+1 for the
-write's checksum transaction), remove 2, rename 2, grow 1, refill 2;
+database each one is a WAL fsync.  Budgets: create 1 (+1 for the
+write's checksum transaction), remove 2, rename 1, grow 1, refill 2;
 a read commits nothing.
 
 Statements (BEGIN and COMMIT included) of a one-brick file on four
-servers: create + 4 KiB write 19, rename 14, remove 11.
+servers: create + 4 KiB write 11, rename 4, remove 8, open 3.
 """
 
 import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint
-from repro.core.brick import replica_subfile
+from repro.core.brick import subfile_names
 from repro.metadb import Database
 
 BRICK = 512
@@ -56,18 +56,18 @@ def commits(fs, fn, *args):
     return fs.db.commits - before
 
 
-def test_create_commits_twice_plus_the_writes_checksum_txn(fs):
+def test_create_commits_once_plus_the_writes_checksum_txn(fs):
     hint = Hint.linear(file_size=len(DATA), brick_size=BRICK)
-    assert commits(fs, lambda: fs.open("/d/g", "w", hint=hint).close()) == 2
-    assert commits(fs, fs.write_file, "/d/h", DATA, hint) == 3
+    assert commits(fs, lambda: fs.open("/d/g", "w", hint=hint).close()) == 1
+    assert commits(fs, fs.write_file, "/d/h", DATA, hint) == 2
 
 
 def test_remove_commits_twice(fs):
     assert commits(fs, fs.remove, "/d/f") == 2
 
 
-def test_rename_commits_twice(fs):
-    assert commits(fs, fs.rename, "/d/f", "/d/g") == 2
+def test_rename_commits_once(fs):
+    assert commits(fs, fs.rename, "/d/f", "/d/g") == 1
 
 
 def test_grow_commits_once(fs):
@@ -80,9 +80,9 @@ def test_grow_commits_once(fs):
 
 def test_refill_commits_twice(fs):
     record, _ = fs.meta.load_file("/d/f")
-    rmap = fs.meta.load_replica_map("/d/f", record)
+    rmap = fs.meta.load_replica_map(record)
     server = next(s for s in range(4) if rmap.bricklists[s])
-    fs.backend.delete_subfile(server, replica_subfile("/d/f"))
+    fs.backend.delete_subfile(server, subfile_names(record.file_id)[1])
     assert commits(fs, fs.refill_replica_subfile, "/d/f", server) == 2
 
 
@@ -99,6 +99,7 @@ def statements(fs, fn, *args):
 def test_one_brick_file_statement_budgets(fs):
     small = bytes(4096)
     hint = Hint.linear(file_size=len(small), brick_size=len(small))
-    assert statements(fs, fs.write_file, "/d/s", small, hint) <= 19
-    assert statements(fs, fs.rename, "/d/s", "/d/t") <= 14
-    assert statements(fs, fs.remove, "/d/t") <= 11
+    assert statements(fs, fs.write_file, "/d/s", small, hint) <= 11
+    assert statements(fs, lambda: fs.open("/d/s", "r").close()) <= 3
+    assert statements(fs, fs.rename, "/d/s", "/d/t") <= 4
+    assert statements(fs, fs.remove, "/d/t") <= 8

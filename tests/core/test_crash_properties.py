@@ -1,7 +1,7 @@
 """Property-based crash consistency: for ANY namespace mutation, ANY
-crash point inside it, ANY file geometry — crash then recover always
-yields an fsck-clean, scrub-clean namespace with the file in exactly
-its old or its new state."""
+crash point inside it, ANY file geometry — crash, remount and one
+``fsck --repair`` always yield an fsck-clean, scrub-clean namespace
+with the file in exactly its old or its new state."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +18,7 @@ BRICK = 256
 
 
 def _mount(backend, db, *, auto_recover=True):
-    # grace 0: the remount models an operator recovering a known-dead
-    # client (the grace period protects live mounts, tested elsewhere)
-    return DPFS(
-        backend, db, io_workers=1, auto_recover=auto_recover,
-        recover_grace_s=0.0,
-    )
+    return DPFS(backend, db, io_workers=1, auto_recover=auto_recover)
 
 
 @st.composite
@@ -63,6 +58,8 @@ def test_any_crash_prefix_recovers_to_old_or_new(scenario):
     assert fs2.last_recovery is not None
     assert fs2.last_recovery.clean, str(fs2.last_recovery)
     assert fs2.intents.pending() == []
+    repaired = fsck(fs2, repair=True)
+    assert all(f.repaired for f in repaired.findings), str(repaired)
     assert fs2.meta.server_usage() == usage_oracle(fs2.meta)
     freport = fsck(fs2)
     assert freport.clean, str(freport)

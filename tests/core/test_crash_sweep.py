@@ -1,19 +1,24 @@
 """The systematic crash sweep: every registered crash point, in every
-journalled multi-step operation, must be recoverable.
+multi-step operation, must be recoverable.
 
 For each (operation, crash point) pair the test arms the point, runs
 the operation until it "dies" (:class:`SimulatedCrash` is a
 BaseException, so no library handler can absorb it), then remounts the
-same backend + metadata database.  Mount-time recovery must leave:
+same backend + metadata database.  Mount-time recovery (which rolls
+every pending intent forward) plus one ``fsck --repair`` must leave:
 
 - an empty intent journal,
-- a clean ``fsck`` (no orphan subfiles, no dangling metadata),
+- a second ``fsck`` that is clean (no orphan subfiles, no dangling
+  metadata),
 - a clean ``scrub`` (no torn or diverged data),
 - per-server usage counters equal to the bricklists' sum (the fsck
   oracle),
 - the file in exactly its old or its new state — never torn,
-- no subfile that removing every file leaves behind.
+- no subfile outside its file's row servers, and none that removing
+  every file leaves behind.
 
+A create that dies after its commit leaves a file whose subfiles are
+missing; no byte of it was written, so fsck recreates them empty.
 Writes are not journalled: a crash between a write's data landing and
 its checksum commit leaves stale checksums, which scrub must report
 as ``stale-checksum`` and repair before the checks above.
@@ -26,7 +31,7 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint, fsck, scrub
-from repro.core.brick import replica_subfile
+from repro.core.brick import file_id_of, subfile_names
 from repro.core.crashpoints import (
     SimulatedCrash,
     arm,
@@ -48,14 +53,18 @@ def lhint(size, replicas=1):
 
 
 def _mount(backend, db, *, auto_recover=True):
-    # recover_grace_s=0: these tests remount immediately after a
-    # simulated crash, standing in for an operator who *knows* the
-    # previous client is dead (the default grace period exists to
-    # protect live concurrent mounts, exercised in test_intent.py)
-    return DPFS(
-        backend, db, io_workers=1, auto_recover=auto_recover,
-        recover_grace_s=0.0,
-    )
+    return DPFS(backend, db, io_workers=1, auto_recover=auto_recover)
+
+
+def subfiles_outside_row_servers(fs):
+    """Every (server, subfile) whose server holds no row of its file."""
+    return [
+        (server, name)
+        for server in range(fs.backend.n_servers)
+        for name in fs.backend.list_subfiles(server)
+        if file_id_of(name) is None
+        or server not in fs.meta.holders(file_id_of(name)).servers()
+    ]
 
 
 # -- per-operation setup / crashing mutation / old-or-new check --------------
@@ -161,12 +170,13 @@ def _setup_refill(fs):
     fs.makedirs("/d")
     fs.write_file("/d/f", DATA, lhint(len(DATA), replicas=2))
     record, _ = fs.meta.load_file("/d/f")
-    rmap = fs.meta.load_replica_map("/d/f", record)
+    rmap = fs.meta.load_replica_map(record)
     server = next(
         s for s in range(fs.backend.n_servers) if rmap.bricklists[s]
     )
-    fs.backend.delete_subfile(server, replica_subfile("/d/f"))
-    return {"server": server}
+    rname = subfile_names(record.file_id)[1]
+    fs.backend.delete_subfile(server, rname)
+    return {"server": server, "rname": rname}
 
 
 def _crash_refill(fs, ctx):
@@ -174,9 +184,7 @@ def _crash_refill(fs, ctx):
 
 
 def _check_refill(fs, ctx):
-    assert fs.backend.subfile_exists(
-        ctx["server"], replica_subfile("/d/f")
-    )
+    assert fs.backend.subfile_exists(ctx["server"], ctx["rname"])
     assert fs.read_file("/d/f") == DATA
 
 
@@ -196,18 +204,14 @@ OPS = {
 STALE_CHECKSUM_POINTS = {"handle.write.before_crc_commit"}
 
 SWEEP = [
-    ("create", "filesystem.create.after_intent"),
-    ("create", "filesystem.create.mid_subfiles"),
-    ("create", "filesystem.create.after_subfiles"),
     ("create", "filesystem.create.in_commit"),
+    ("create", "filesystem.create.after_commit"),
+    ("create", "filesystem.create.mid_subfiles"),
     ("remove", "filesystem.remove.in_commit"),
     ("remove", "filesystem.remove.after_metadata"),
     ("remove", "filesystem.remove.mid_subfiles"),
     ("remove", "filesystem.remove.after_subfiles"),
     ("rename", "filesystem.rename.in_commit"),
-    ("rename", "filesystem.rename.after_metadata"),
-    ("rename", "filesystem.rename.mid_subfiles"),
-    ("rename", "filesystem.rename.after_subfiles"),
     ("grow", "filesystem.grow.in_commit"),
     ("grow_out", "filesystem.grow.mid_subfiles"),
     ("refill", "filesystem.refill.after_intent"),
@@ -236,7 +240,7 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
     finally:
         disarm()
     # the client is dead; a new mount over the same backend + metadata
-    # must recover on its own
+    # rolls its intents forward, and one fsck --repair does the rest
     fs2 = _mount(backend, db)
     assert fs2.last_recovery is not None
     assert fs2.last_recovery.clean, str(fs2.last_recovery)
@@ -246,12 +250,15 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
         assert sreport.findings, str(sreport)
         assert {f.kind for f in sreport.findings} == {"stale-checksum"}
         assert not scrub(fs2, repair=True).unrepaired
-    assert fs2.meta.server_usage() == usage_oracle(fs2.meta)
+    repaired = fsck(fs2, repair=True)
+    assert all(f.repaired for f in repaired.findings), str(repaired)
     freport = fsck(fs2)
     assert freport.clean, str(freport)
+    assert fs2.meta.server_usage() == usage_oracle(fs2.meta)
     sreport = scrub(fs2)
     assert sreport.clean, str(sreport)
     check(fs2, ctx)
+    assert subfiles_outside_row_servers(fs2) == []
     # every subfile left is reachable through metadata: removing every
     # file leaves no subfile on any server
     for path in fs2.meta.iter_files():
@@ -261,42 +268,38 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
 
 def test_commit_step_mark_is_atomic_with_the_commit():
     """The journal can never disagree with metadata about whether the
-    commit point was reached: a rename journals its intent, already
-    marked committed, inside the transaction that re-keys the metadata.
-    (Regression: a crash between a committed rename and a separate mark
-    statement used to leave done=[] — recovery then 'rolled back' a
-    committed rename and stranded the data under the old subfile
-    names.)"""
+    commit point was reached: a remove journals its intent inside the
+    transaction that drops the metadata, so a crash leaves either the
+    file and no intent, or an intent and no file."""
     db = Database()
     backend = MemoryBackend(4)
     fs = _mount(backend, db, auto_recover=False)
     fs.makedirs("/d")
     fs.write_file("/d/f", DATA, lhint(len(DATA)))
 
-    # crash inside the commit transaction: neither the re-key nor the
+    # crash inside the commit transaction: neither the drop nor the
     # intent became durable
-    arm("filesystem.rename.in_commit")
+    arm("filesystem.remove.in_commit")
     try:
         with pytest.raises(SimulatedCrash):
-            fs.rename("/d/f", "/d/g")
+            fs.remove("/d/f")
     finally:
         disarm()
     assert fs.intents.pending() == []
-    assert fs.exists("/d/f") and not fs.exists("/d/g")
+    assert fs.read_file("/d/f") == DATA
 
-    # crash right after the commit transaction: the re-key and the
-    # marked intent are both durable, so recovery must roll forward
-    arm("filesystem.rename.after_metadata")
+    # crash right after the commit transaction: the drop and the intent
+    # are both durable, so recovery deletes the subfiles
+    arm("filesystem.remove.after_metadata")
     try:
         with pytest.raises(SimulatedCrash):
-            fs.rename("/d/f", "/d/g")
+            fs.remove("/d/f")
     finally:
         disarm()
     (intent,) = fs.intents.pending()
-    assert intent.done == ["rekey-metadata"]
-    assert fs.exists("/d/g") and not fs.exists("/d/f")
+    assert intent.op == "remove" and not fs.exists("/d/f")
     assert fs.recover().clean
-    assert fs.read_file("/d/g") == DATA
+    assert [backend.list_subfiles(s) for s in range(4)] == [[]] * 4
     assert fsck(fs).clean
 
 
@@ -350,10 +353,10 @@ def test_scrub_reports_pending_intents_report_only():
     backend = MemoryBackend(4)
     fs = _mount(backend, db, auto_recover=False)
     fs.write_file("/f", DATA, lhint(len(DATA)))
-    arm("filesystem.rename.after_metadata")
+    arm("filesystem.remove.after_metadata")
     try:
         with pytest.raises(SimulatedCrash):
-            fs.rename("/f", "/g")
+            fs.remove("/f")
     finally:
         disarm()
     checker = _mount(backend, db, auto_recover=False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DPFS, FileLevel, Hint
+from repro.core.brick import subfile_names
 from repro.errors import (
     FileExists,
     FileNotFound,
@@ -90,10 +91,11 @@ def test_multidim_fixed_size_rejects_growth(fs):
 
 def test_remove_deletes_subfiles(fs):
     fs.write_file("/f", b"data")
-    assert fs.backend.subfile_exists(0, "/f")
+    name, _ = subfile_names(fs.meta.load_file("/f")[0].file_id)
+    assert fs.backend.subfile_exists(0, name)
     fs.remove("/f")
     assert not fs.isfile("/f")
-    assert not fs.backend.subfile_exists(0, "/f")
+    assert not fs.backend.subfile_exists(0, name)
     with pytest.raises(FileNotFound):
         fs.remove("/f")
 

@@ -1,9 +1,17 @@
 """fsck tests: detection and repair of every inconsistency class."""
 
+import importlib
+
 import pytest
 
 from repro.core import DPFS, Hint, fsck
-from repro.errors import ConstraintError
+from repro.core.brick import subfile_names
+from repro.errors import ConstraintError, FileSystemError
+
+
+def names(fs, path):
+    """The (primary, replica) subfile names of the file at ``path``."""
+    return subfile_names(fs.meta.load_file(path)[0].file_id)
 
 
 @pytest.fixture
@@ -22,8 +30,11 @@ def test_clean_filesystem(populated):
 
 
 def test_missing_subfile_detected_and_repaired(populated):
+    """A file no byte was written to (a crash between create's commit
+    and its subfile creates leaves one) gets its subfile back empty."""
     fs = populated
-    fs.backend.delete_subfile(0, "/b")
+    fs.open("/c", "w", hint=Hint.linear(file_size=500)).close()
+    fs.backend.delete_subfile(0, names(fs, "/c")[0])
     report = fsck(fs)
     assert [f.kind for f in report.findings] == ["missing-subfile"]
     assert not report.findings[0].repaired
@@ -31,9 +42,23 @@ def test_missing_subfile_detected_and_repaired(populated):
     repaired = fsck(fs, repair=True)
     assert repaired.by_kind("missing-subfile")[0].repaired
     assert fsck(fs).clean
-    # file readable again (lost bricks read as zeros — sparse semantics)
-    data = fs.read_file("/b")
-    assert len(data) == 500
+    # file readable again (unwritten bricks read as zeros — sparse semantics)
+    assert fs.read_file("/c") == bytes(500)
+
+
+def test_lost_written_subfile_is_reported_not_zeroed(populated):
+    """A subfile that held written bricks with no other copy is lost:
+    fsck says so and leaves it missing, so reads keep failing instead
+    of returning zeros."""
+    fs = populated
+    fs.backend.delete_subfile(0, names(fs, "/b")[0])
+    report = fsck(fs, repair=True)
+    (lost,) = report.by_kind("lost-subfile")
+    assert lost.path == "/b" and not lost.repaired
+    assert report.by_kind("missing-subfile") == []
+    assert not fsck(fs).clean
+    with pytest.raises(FileSystemError):
+        fs.read_file("/b")
 
 
 def test_orphan_subfile_detected_and_repaired(populated):
@@ -52,11 +77,12 @@ def test_orphan_subfile_detected_and_repaired(populated):
 def test_deleted_attr_row_leaves_listdir_and_orphans_subfiles(populated):
     fs = populated
     # corrupt: the file's attr row is gone, its subfiles are not
+    name, _ = names(fs, "/b")
     fs.db.execute("DELETE FROM dpfs_file_attr WHERE filename = '/b'")
     assert fs.listdir("/") == (["home"], [])
     report = fsck(fs)
     orphans = report.by_kind("orphan-subfile")
-    assert orphans and {f.path for f in orphans} == {"/b"}
+    assert orphans and {f.path for f in orphans} == {name}
 
     fsck(fs, repair=True)
     assert fsck(fs).clean
@@ -88,15 +114,18 @@ def test_file_cannot_be_keyed_to_a_missing_directory(populated):
 def test_bad_brick_map_reported(populated):
     fs = populated
     # corrupt one distribution row's bricklist (duplicate brick id)
+    file_id = fs.meta.load_file("/b")[0].file_id
     row = fs.db.execute(
-        "SELECT dist_id, bricklist FROM dpfs_file_distribution "
-        "WHERE filename = '/b' ORDER BY dist_id LIMIT 1"
+        "SELECT server_name, bricklist FROM dpfs_file_distribution "
+        "WHERE file_id = ? ORDER BY server_name LIMIT 1",
+        [file_id],
     ).rows[0]
     bricklist = list(row["bricklist"]) or [0]
     bricklist.append(bricklist[0])
     fs.db.execute(
-        "UPDATE dpfs_file_distribution SET bricklist = ? WHERE dist_id = ?",
-        [bricklist, row["dist_id"]],
+        "UPDATE dpfs_file_distribution SET bricklist = ?"
+        " WHERE file_id = ? AND server_name = ?",
+        [bricklist, file_id, row["server_name"]],
     )
     report = fsck(fs)
     assert report.by_kind("bad-brick-map")
@@ -138,3 +167,40 @@ def test_fsck_over_tcp(tmp_path):
         assert report.by_kind("orphan-subfile")[0].repaired
         assert fsck(fs).clean
         fs.close()
+
+
+def test_lost_subfile_with_other_copies_is_recreated_and_refilled(fs):
+    """A written subfile whose every brick has another copy is recreated
+    empty, and the deep pass rewrites its bricks from those copies."""
+    data = bytes(range(256)) * 16
+    hint = Hint.linear(file_size=len(data), brick_size=1024, replicas=2)
+    fs.write_file("/r", data, hint)
+    _, bmap = fs.meta.load_file("/r")
+    server = bmap.location(0).server
+    fs.backend.delete_subfile(server, names(fs, "/r")[0])
+    report = fsck(fs, repair=True)
+    assert [f.kind for f in report.by_kind("missing-subfile")] == ["missing-subfile"]
+    assert report.by_kind("lost-subfile") == []
+    assert all(f.repaired for f in report.findings), str(report)
+    assert fsck(fs).clean
+    assert fs.read_file("/r") == data
+
+
+def test_orphan_pass_spares_a_file_created_after_pass_one(populated, monkeypatch):
+    """Create commits its rows before it makes its subfiles, so a file
+    created while fsck runs has subfiles pass 1 never saw: the orphan
+    pass looks their id up again before deleting anything."""
+    fsck_module = importlib.import_module("repro.core.fsck")
+    fs = populated
+    count_usage = fsck_module.usage_oracle
+
+    def create_then_count(meta):  # pass 2 runs between passes 1 and 3
+        fs.write_file("/late", b"z" * 300)
+        return count_usage(meta)
+
+    monkeypatch.setattr(fsck_module, "usage_oracle", create_then_count)
+    report = fsck(fs, repair=True)
+    monkeypatch.undo()
+    assert report.by_kind("orphan-subfile") == [], str(report)
+    assert fs.read_file("/late") == b"z" * 300
+    assert fsck(fs).clean

@@ -1,6 +1,6 @@
 """A file's subfiles exist exactly on the servers that hold a
-distribution or replica row for it, and create, grow, remove, rename
-and their recovery reach only those servers.
+distribution or replica row for it, and create, grow, remove and their
+recovery reach only those servers (rename reaches none).
 
 A file written by an older build has a distribution row, perhaps
 empty, and a primary subfile on every server (and, replicated, a
@@ -17,7 +17,7 @@ import pytest
 from repro.backends.faulty import FaultyBackend
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint, fsck
-from repro.core.brick import replica_subfile
+from repro.core.brick import subfile_names
 from repro.errors import (
     ConstraintError,
     FileExists,
@@ -25,7 +25,6 @@ from repro.errors import (
     MetaDBError,
     MultiServerError,
 )
-from repro.metadb import Database
 
 BRICK = 4096
 DATA = bytes(range(256)) * 16  # one brick
@@ -59,11 +58,17 @@ def subfiles(fs):
     }
 
 
+def names(fs, path):
+    """The (primary, replica) subfile names of the file at ``path``."""
+    return subfile_names(fs.meta.load_file(path)[0].file_id)
+
+
 def rows(fs, table, path):
     return {
         row["server_name"]: row["bricklist"]
         for row in fs.db.execute(
-            f"SELECT server_name, bricklist FROM {table} WHERE filename = ?",
+            f"SELECT server_name, bricklist FROM {table} WHERE file_id ="
+            " (SELECT file_id FROM dpfs_file_attr WHERE filename = ?)",
             [path],
         )
     }
@@ -93,7 +98,7 @@ def test_one_brick_file_lives_on_one_server(fs):
     fs.makedirs("/d")
     inline, pooled = fs.dispatcher.stats.inline_batches, pooled_batches(fs)
     fs.write_file("/d/f", DATA, lhint(len(DATA)))
-    assert subfiles(fs) == {(0, "/d/f")}
+    assert subfiles(fs) == {(0, names(fs, "/d/f")[0])}
     assert rows(fs, "dpfs_file_distribution", "/d/f") == {fs._server_names[0]: [0]}
     assert fs.dispatcher.stats.inline_batches > inline
     assert pooled_batches(fs) == pooled
@@ -117,7 +122,8 @@ def test_growing_onto_a_new_server_adds_its_row_and_subfile(fs):
     fs.write_file("/f", DATA, lhint(len(DATA)))
     with fs.open("/f", "r+") as handle:
         handle.write(len(DATA), DATA)  # brick 1 lands on server 1
-    assert subfiles(fs) == {(0, "/f"), (1, "/f")}
+    name, _ = names(fs, "/f")
+    assert subfiles(fs) == {(0, name), (1, name)}
     assert row_servers(fs, "dpfs_file_distribution", "/f") == {0, 1}
     assert fs.read_file("/f") == DATA * 2
     assert fsck(fs).clean
@@ -172,8 +178,9 @@ def test_failed_grow_leaves_the_handle_as_it_was(fault, error):
 
 def test_fsck_reports_a_subfile_on_a_server_without_a_row(fs):
     fs.write_file("/f", DATA, lhint(len(DATA)))  # server 0 only
-    fs.backend.create_subfile(3, "/f")
-    fs.backend.create_subfile(0, replica_subfile("/f"))
+    name, rname = names(fs, "/f")
+    fs.backend.create_subfile(3, name)
+    fs.backend.create_subfile(0, rname)
     report = fsck(fs)
     assert sorted(f.detail for f in report.by_kind("orphan-subfile")) == [
         "server 0 holds a subfile but no row of its file",
@@ -181,7 +188,7 @@ def test_fsck_reports_a_subfile_on_a_server_without_a_row(fs):
     ]
     assert len(report.findings) == 2
     fsck(fs, repair=True)
-    assert subfiles(fs) == {(0, "/f")}
+    assert subfiles(fs) == {(0, name)}
     assert fs.read_file("/f") == DATA
     assert fsck(fs).clean
 
@@ -203,15 +210,12 @@ def test_replica_subfile_only_on_replica_row_servers(fs):
     fs.write_file("/f", DATA, lhint(len(DATA), replicas=2))
     primary = row_servers(fs, "dpfs_file_distribution", "/f")
     replica = row_servers(fs, "dpfs_file_replica", "/f")
-    rname = replica_subfile("/f")
-    assert subfiles(fs) == {(s, "/f") for s in primary} | {
-        (s, rname) for s in replica
-    }
+    name, rname = names(fs, "/f")
+    held = {(s, name) for s in primary} | {(s, rname) for s in replica}
+    assert subfiles(fs) == held
     assert len(primary) == len(replica) == 1 and primary != replica
     fs.rename("/f", "/g")
-    assert subfiles(fs) == {(s, "/g") for s in primary} | {
-        (s, replica_subfile("/g")) for s in replica
-    }
+    assert subfiles(fs) == held
     assert fs.read_file("/g") == DATA
     assert fsck(fs).clean
     fs.remove("/g")
@@ -223,15 +227,17 @@ def _make_legacy(fs, path, replicated):
     every server (empty where it holds no brick), a primary subfile on
     every server, a replica subfile on every server if replicated, and
     geometry JSON with its ``None`` keys and default separators."""
-    for server, name in enumerate(fs._server_names):
+    file_id = fs.meta.load_file(path)[0].file_id
+    name, rname = subfile_names(file_id)
+    for server, server_name in enumerate(fs._server_names):
         fs.db.execute(
-            "INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?)"
-            " ON CONFLICT (dist_id) DO NOTHING",
-            [f"{name}|{path}", name, path, []],
+            "INSERT INTO dpfs_file_distribution VALUES (?, ?, ?)"
+            " ON CONFLICT (file_id, server_name) DO NOTHING",
+            [file_id, server_name, []],
         )
-        fs.backend.create_subfile(server, path)
+        fs.backend.create_subfile(server, name)
         if replicated:
-            fs.backend.create_subfile(server, replica_subfile(path))
+            fs.backend.create_subfile(server, rname)
     geometry = fs.stat(path)["geometry"]
     for key in ("array_shape", "brick_shape", "pattern", "nprocs", "pgrid"):
         geometry.setdefault(key, None)
@@ -245,12 +251,11 @@ def _make_legacy(fs, path, replicated):
 def test_legacy_file_renames_and_removes_on_every_server(fs, replicas):
     fs.write_file("/old", DATA, lhint(len(DATA), replicas=replicas))
     _make_legacy(fs, "/old", replicated=replicas > 1)
-    names = {"/old", replica_subfile("/old")} if replicas > 1 else {"/old"}
-    assert subfiles(fs) == {(s, n) for s in range(4) for n in names}
+    held = set(names(fs, "/old")[:replicas])
+    assert subfiles(fs) == {(s, n) for s in range(4) for n in held}
     assert fsck(fs).clean
     fs.rename("/old", "/new")
-    assert {name for _, name in subfiles(fs)} <= {"/new", replica_subfile("/new")}
-    assert len(subfiles(fs)) == 4 * len(names)
+    assert subfiles(fs) == {(s, n) for s in range(4) for n in held}
     assert fs.read_file("/new") == DATA
     assert fsck(fs).by_kind("orphan-subfile") == []
     fs.remove("/new")
@@ -278,76 +283,3 @@ def test_stored_json_is_compact(fs):
     ).scalar()
     assert b", " not in raw and b": " not in raw
     assert None not in json.loads(raw).values()
-
-
-def test_remove_intent_without_servers_rolls_forward_on_every_server():
-    """An older build's remove intent names no servers: recovery
-    deletes the subfiles on every server."""
-    fs = DPFS.memory(4, auto_recover=False)
-    for server in range(4):
-        fs.backend.create_subfile(server, "/gone")
-        fs.backend.create_subfile(server, replica_subfile("/gone"))
-    intent = fs.intents.begin(
-        "remove",
-        {"path": "/gone"},
-        ["remove-metadata", "delete-subfiles"],
-        "remove-metadata",
-    )
-    fs.intents.mark(intent, "remove-metadata")
-    assert fs.recover().clean
-    assert subfiles(fs) == set()
-
-
-def test_create_intent_without_servers_rolls_back_on_every_server():
-    fs = DPFS.memory(4, auto_recover=False)
-    for server in range(4):
-        fs.backend.create_subfile(server, "/half")
-    fs.intents.begin(
-        "create",
-        {"path": "/half", "replicated": False},
-        ["create-subfiles", "write-metadata"],
-        "write-metadata",
-    )
-    assert fs.recover().clean
-    assert subfiles(fs) == set()
-
-
-def test_rename_roll_forward_reads_the_rows_under_the_new_name():
-    fs = DPFS.memory(4, auto_recover=False)
-    fs.write_file("/a", DATA * 2, lhint(2 * len(DATA)))
-    with fs.db.transaction():
-        fs.meta.rename_file("/a", "/b")
-        intent = fs.intents.begin(
-            "rename",
-            {"old": "/a", "new": "/b", "replicated": False},
-            ["rekey-metadata", "rename-subfiles"],
-            "rekey-metadata",
-        )
-        fs.intents.mark(intent, "rekey-metadata")
-    assert fs.recover().clean
-    assert subfiles(fs) == {(0, "/b"), (1, "/b")}
-    assert fs.read_file("/b") == DATA * 2
-
-
-def test_create_loser_deletes_only_subfiles_the_winner_does_not_hold():
-    """The losing create of a race keeps the winner's subfiles and
-    deletes its own elsewhere."""
-    db = Database()
-    backend = MemoryBackend(4)
-    fs = DPFS(backend, db, auto_recover=False)
-    winner = DPFS(backend, db, auto_recover=False)
-    real = fs._redo_create_subfiles
-
-    def create_then_lose(norm, primary, replica):
-        real(norm, primary, replica)
-        winner.write_file("/f", DATA, lhint(len(DATA)))  # server 0 only
-
-    fs._redo_create_subfiles = create_then_lose
-    with pytest.raises(FileExists):
-        fs.write_file("/f", DATA * 3, lhint(3 * len(DATA)))  # servers 0-2
-    del fs._redo_create_subfiles
-    assert subfiles(fs) == {(0, "/f")}
-    assert fs.read_file("/f") == DATA
-    assert fs.intents.pending() == []
-    fs.remove("/f")
-    assert subfiles(fs) == set()

@@ -18,6 +18,8 @@ from repro.errors import (
 )
 from repro.metadb import Database
 
+from .legacy_root import make_legacy
+
 
 @pytest.fixture
 def meta():
@@ -196,16 +198,16 @@ def test_remove_file(meta):
 
 
 def test_update_file_size(meta):
-    meta.create_file(_record("/f"), _bmap(), _names(meta))
-    meta.update_file_size("/f", 999)
+    file_id = meta.create_file(_record("/f"), _bmap(), _names(meta))
+    meta.update_file_size(file_id, 999)
     record, _ = meta.load_file("/f")
     assert record.size == 999
 
 
 def test_update_distribution_after_growth(meta):
-    meta.create_file(_record("/f", n_bricks=3), _bmap(3), _names(meta))
+    file_id = meta.create_file(_record("/f", n_bricks=3), _bmap(3), _names(meta))
     grown = _bmap(9)
-    meta.grow_file("/f", grown, [100] * 9, _names(meta), None, 900)
+    meta.grow_file(file_id, grown, [100] * 9, _names(meta), None, 900)
     record, loaded = meta.load_file("/f")
     assert len(record.brick_sizes) == 9
     assert loaded.to_lists() == grown.to_lists()
@@ -229,11 +231,13 @@ def test_iter_files_sorted(meta):
 
 
 def test_distribution_rows_match_paper_schema(meta):
-    """DPFS-FILE-DISTRIBUTION keys rows by server and stores bricklists."""
-    meta.create_file(_record("/f"), _bmap(), _names(meta))
+    """DPFS-FILE-DISTRIBUTION keys rows by server and stores bricklists
+    (and by the file's id where the paper uses its name)."""
+    file_id = meta.create_file(_record("/f"), _bmap(), _names(meta))
     rows = meta.db.execute(
         "SELECT server_name, bricklist FROM dpfs_file_distribution "
-        "WHERE filename = '/f' ORDER BY server_name"
+        "WHERE file_id = ? ORDER BY server_name",
+        [file_id],
     ).rows
     assert len(rows) == 3
     all_bricks = sorted(b for row in rows for b in row["bricklist"])
@@ -280,6 +284,7 @@ def test_root_with_directory_lists_is_rekeyed_once_at_mount(tmp_path):
         for path, data in payload.items():
             fs.write_file(path, data)
     # rewrite both tables as the older schema left them
+    make_legacy(root, 3)
     db = Database(root / "dpfs.meta")
     db.execute("PRAGMA foreign_keys=OFF")
     attrs = db.execute("SELECT * FROM dpfs_file_attr").rows

@@ -6,7 +6,7 @@ import pytest
 from repro.backends.faulty import FaultyBackend
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint
-from repro.core.brick import ReplicaMap, is_replica_subfile, replica_subfile
+from repro.core.brick import ReplicaMap, file_id_of, subfile_names
 from repro.core.placement import Greedy, RoundRobin, build_replicated_maps
 from repro.errors import ChecksumError, InvalidHint, PlacementError
 
@@ -29,12 +29,13 @@ def payload(n):
 def corrupt_copy(fs, path, brick_id, copy):
     """Garble one stored copy of a brick directly on the backend."""
     record, bmap = fs.meta.load_file(path)
+    name, rname = subfile_names(record.file_id)
     if copy == 0:
-        loc, name = bmap.location(brick_id), path
+        loc = bmap.location(brick_id)
     else:
-        rmap = fs.meta.load_replica_map(path, record)
+        rmap = fs.meta.load_replica_map(record)
         loc = rmap.locations(brick_id)[copy - 1]
-        name = replica_subfile(path)
+        name = rname
     fs.backend.write_extents(
         loc.server, name, [(loc.local_offset, loc.size)], b"\xde" * loc.size
     )
@@ -69,12 +70,13 @@ def test_replica_map_rejects_brick_twice_on_one_server():
 
 
 def test_replica_subfile_naming_cannot_collide():
-    rname = replica_subfile("/data/f")
-    assert is_replica_subfile(rname)
-    assert not is_replica_subfile("/data/f")
-    # normalized DPFS paths never contain '//', so no user file can
-    # shadow a replica subfile
-    assert "//" in rname
+    # no file's replica subfile can shadow any file's primary one, and
+    # each name leads back to its own file
+    primaries = {subfile_names(i)[0] for i in range(1, 200)}
+    replicas = {subfile_names(i)[1] for i in range(1, 200)}
+    assert len(primaries) == len(replicas) == 199
+    assert not primaries & replicas
+    assert all(file_id_of(subfile_names(i)[1]) == i for i in range(1, 200))
 
 
 # -- create / layout ---------------------------------------------------------
@@ -86,7 +88,7 @@ def test_create_replicated_file_layout():
         h.write(0, data)
     record, bmap = fs.meta.load_file("/f")
     assert record.replicas == 2
-    rmap = fs.meta.load_replica_map("/f", record)
+    rmap = fs.meta.load_replica_map(record)
     for brick_id in range(len(bmap)):
         locs = rmap.locations(brick_id)
         assert len(locs) == 1
@@ -117,9 +119,9 @@ def test_df_accounts_replica_bytes():
 def test_unreplicated_files_have_no_replica_subfiles():
     fs, _ = make_fs(3)
     fs.write_file("/f", payload(2 * BRICK))
+    _, rname = subfile_names(fs.meta.load_file("/f")[0].file_id)
     for server in range(3):
-        names = fs.backend.list_subfiles(server)
-        assert not any(is_replica_subfile(n) for n in names)
+        assert rname not in fs.backend.list_subfiles(server)
 
 
 # -- degraded reads / failover ----------------------------------------------
@@ -136,7 +138,7 @@ def test_read_survives_corrupt_primary_and_repairs_it():
     assert m.counter("dpfs_read_failovers_total").by_label("reason")["checksum"] >= 1
     assert m.counter("dpfs_repairs_total").total() >= 1
     # inline read-repair rewrote the primary: clean reads from now on
-    assert ("/f", 1, server) not in fs.quarantine
+    assert (fs.meta.load_file("/f")[0].file_id, 1, server) not in fs.quarantine
     assert fs.read_file("/f") == data
     from repro.core import scrub
 
@@ -337,7 +339,7 @@ def test_replicated_file_growth():
     with fs.open("/f", "r+") as h:
         h.write(len(data), extra)
     record, bmap = fs.meta.load_file("/f")
-    rmap = fs.meta.load_replica_map("/f", record)
+    rmap = fs.meta.load_replica_map(record)
     for brick_id in range(len(bmap)):
         assert len(rmap.locations(brick_id)) == 1
     assert fs.read_file("/f") == data + extra
@@ -350,11 +352,13 @@ def test_rename_moves_replica_subfiles():
     fs, _ = make_fs(3)
     data = payload(2 * BRICK)
     fs.write_file("/f", data, rhint(len(data), replicas=2))
+    _, rname = subfile_names(fs.meta.load_file("/f")[0].file_id)
+    before = [fs.backend.list_subfiles(server) for server in range(3)]
+    assert sum(rname in names for names in before) == 2
     fs.rename("/f", "/g")
     assert fs.read_file("/g") == data
-    old_r = replica_subfile("/f")
-    for server in range(3):
-        assert old_r not in fs.backend.list_subfiles(server)
+    # the subfiles carry the file's id, which the rename leaves alone
+    assert [fs.backend.list_subfiles(server) for server in range(3)] == before
     from repro.core import fsck
 
     assert fsck(fs).clean
@@ -364,12 +368,10 @@ def test_remove_deletes_replica_subfiles_and_quarantine():
     fs, _ = make_fs(3)
     data = payload(2 * BRICK)
     fs.write_file("/f", data, rhint(len(data), replicas=2))
-    fs.quarantine.add(("/f", 0, 1))
+    fs.quarantine.add((fs.meta.load_file("/f")[0].file_id, 0, 1))
     fs.remove("/f")
     for server in range(3):
-        assert not any(
-            is_replica_subfile(n) for n in fs.backend.list_subfiles(server)
-        )
+        assert fs.backend.list_subfiles(server) == []
     assert not fs.quarantine
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DPFS, Hint, fsck, scrub
-from repro.core.brick import replica_subfile
+from repro.core.brick import subfile_names
 from repro.core.scrub import verify_file_copies
 
 BRICK = 4 * 1024
@@ -22,12 +22,17 @@ def payload(n):
     return bytes((11 * i + 3) % 256 for i in range(n))
 
 
+def file_id(fs, path):
+    return fs.meta.load_file(path)[0].file_id
+
+
 def locate(fs, path, brick_id, copy):
     record, bmap = fs.meta.load_file(path)
+    name, rname = subfile_names(record.file_id)
     if copy == 0:
-        return bmap.location(brick_id), path
-    rmap = fs.meta.load_replica_map(path, record)
-    return rmap.locations(brick_id)[copy - 1], replica_subfile(path)
+        return bmap.location(brick_id), name
+    rmap = fs.meta.load_replica_map(record)
+    return rmap.locations(brick_id)[copy - 1], rname
 
 
 def garble(fs, path, brick_id, copy, junk=b"\xbd"):
@@ -59,11 +64,11 @@ def test_checksum_mismatch_found_and_repaired(fs):
     assert len(findings) == 1
     assert findings[0].brick_id == 1 and findings[0].server == server
     assert not findings[0].repaired
-    assert ("/f", 1, server) in fs.quarantine  # bad copy fenced off
+    assert (file_id(fs, "/f"), 1, server) in fs.quarantine  # bad copy fenced off
 
     repaired = scrub(fs, repair=True)
     assert repaired.by_kind("checksum-mismatch")[0].repaired
-    assert ("/f", 1, server) not in fs.quarantine
+    assert (file_id(fs, "/f"), 1, server) not in fs.quarantine
     assert scrub(fs).clean
     assert fs.read_file("/f") == data
 
@@ -71,7 +76,7 @@ def test_checksum_mismatch_found_and_repaired(fs):
 def test_stale_checksum_is_metadata_repair(fs):
     data = payload(2 * BRICK)
     fs.write_file("/f", data, rhint(len(data)))
-    fs.meta.update_brick_crcs("/f", {0: 1234567})  # metadata goes stale
+    fs.meta.update_brick_crcs(file_id(fs, "/f"), {0: 1234567})  # metadata goes stale
 
     report = scrub(fs)
     findings = report.by_kind("stale-checksum")
@@ -88,7 +93,7 @@ def test_replica_divergence_majority_repair(fs):
     data = payload(BRICK)
     fs4.write_file("/f", data, rhint(len(data), replicas=3))
     # erase the arbiter, then garble one of the three copies
-    fs4.meta.update_brick_crcs("/f", {0: 7})
+    fs4.meta.update_brick_crcs(file_id(fs4, "/f"), {0: 7})
     loser = garble(fs4, "/f", 0, copy=2)
 
     report = scrub(fs4)
@@ -104,7 +109,7 @@ def test_replica_divergence_majority_repair(fs):
 def test_replica_divergence_no_majority_unrepairable(fs):
     data = payload(BRICK)
     fs.write_file("/f", data, rhint(len(data), replicas=2))
-    fs.meta.update_brick_crcs("/f", {0: 7})  # arbiter gone
+    fs.meta.update_brick_crcs(file_id(fs, "/f"), {0: 7})  # arbiter gone
     garble(fs, "/f", 0, copy=1)
 
     report = scrub(fs, repair=True)
@@ -118,8 +123,7 @@ def test_replica_divergence_no_majority_unrepairable(fs):
 def test_unreadable_copy_recreated(fs):
     data = payload(2 * BRICK)
     fs.write_file("/f", data, rhint(len(data)))
-    rname = replica_subfile("/f")
-    loc, _ = locate(fs, "/f", 0, copy=1)
+    loc, rname = locate(fs, "/f", 0, copy=1)
     fs.backend.delete_subfile(loc.server, rname)
 
     report = scrub(fs)
@@ -133,7 +137,7 @@ def test_unreadable_copy_recreated(fs):
 def test_none_checksum_backfilled_silently(fs):
     data = payload(2 * BRICK)
     fs.write_file("/f", data, rhint(len(data)))
-    fs.meta.update_brick_crcs("/f", {0: None, 1: None})  # legacy file
+    fs.meta.update_brick_crcs(file_id(fs, "/f"), {0: None, 1: None})  # legacy file
 
     report = scrub(fs)
     assert report.clean  # never-written/legacy bricks are not findings
@@ -172,7 +176,7 @@ def test_scrub_repairs_lift_quarantine_and_invalidate_cache():
     assert fs.read_file("/f") == data  # warm the cache
     server = garble(fs, "/f", 0, copy=0)
     scrub(fs, repair=True)
-    assert ("/f", 0, server) not in fs.quarantine
+    assert (file_id(fs, "/f"), 0, server) not in fs.quarantine
     assert fs.read_file("/f") == data
 
 
@@ -196,7 +200,7 @@ def test_fsck_shallow_pass_skips_data_reads(fs):
 def test_fsck_missing_replica_refilled(fs):
     data = payload(3 * BRICK)
     fs.write_file("/f", data, rhint(len(data)))
-    rname = replica_subfile("/f")
+    _, rname = subfile_names(file_id(fs, "/f"))
     victims = [
         s for s in range(3) if fs.backend.subfile_exists(s, rname)
     ]

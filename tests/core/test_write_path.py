@@ -17,6 +17,7 @@ from repro.backends.local import LocalBackend
 from repro.backends.memory import MemoryBackend
 from repro.backends.simulated import SimulatedBackend
 from repro.core import DPFS, Hint, scrub
+from repro.core.brick import subfile_names
 from repro.core.checksum import CRC_ALGORITHM, checksum
 from repro.errors import ChecksumError, ServerError
 from repro.net import DPFSServer, RemoteBackend
@@ -168,17 +169,18 @@ def test_metadata_keeps_the_newest_version():
         return record.brick_crcs[0], record.brick_crc_versions[0]
 
     _, (name, v0) = stored()
-    assert meta.update_brick_crcs("/f", {0: 11}, {0: (name, v0 + 100)}) == {0: 11}
-    assert meta.update_brick_crcs("/f", {0: 22}, {0: (name, v0 + 50)}) == {}
+    file_id = meta.load_file("/f")[0].file_id
+    assert meta.update_brick_crcs(file_id, {0: 11}, {0: (name, v0 + 100)}) == {0: 11}
+    assert meta.update_brick_crcs(file_id, {0: 22}, {0: (name, v0 + 50)}) == {}
     assert stored() == (11, [name, v0 + 100])
-    assert meta.update_brick_crcs("/f", {0: 33}, {0: (name, v0 + 101)}) == {0: 33}
+    assert meta.update_brick_crcs(file_id, {0: 33}, {0: (name, v0 + 101)}) == {0: 33}
     # a scrub-style update sets the crc and keeps the stored stamp
-    assert meta.update_brick_crcs("/f", {0: 44}) == {0: 44}
+    assert meta.update_brick_crcs(file_id, {0: 44}) == {0: 44}
     assert stored() == (44, [name, v0 + 101])
     # another server's clock is not compared: its stamp replaces
-    assert meta.update_brick_crcs("/f", {0: 55}, {0: ("other", 1)}) == {0: 55}
+    assert meta.update_brick_crcs(file_id, {0: 55}, {0: ("other", 1)}) == {0: 55}
     assert stored() == (55, ["other", 1])
-    assert meta.update_brick_crcs("/f", {0: 66}, {0: (name, v0)}) == {0: 66}
+    assert meta.update_brick_crcs(file_id, {0: 66}, {0: (name, v0)}) == {0: 66}
     assert stored() == (66, [name, v0])
 
 
@@ -205,7 +207,7 @@ def test_replica_clock_running_ahead_does_not_mask_later_writes():
     fs.write_file("/f", payload(BRICK), hint)
     record, bmap = fs.meta.load_file("/f")
     primary = bmap.location(0).server
-    (rloc,) = fs.meta.load_replica_map("/f", record).locations(0)
+    (rloc,) = fs.meta.load_replica_map(record).locations(0)
     inner._clocks[rloc.server]._last = time.time_ns() + 10**15  # ~12 days
     backend.fail_on("write", server=primary)
     with fs.open("/f", "r+") as h:
@@ -259,11 +261,12 @@ def test_real_corruption_still_detected_after_refresh():
     fs = DPFS.memory(2)
     hint = Hint.linear(file_size=BRICK, brick_size=BRICK)
     fs.write_file("/f", payload(BRICK), hint)
-    _, bmap = fs.meta.load_file("/f")
+    record, bmap = fs.meta.load_file("/f")
     loc = bmap.location(0)
     with fs.open("/f", "r") as h:
         fs.backend.write_extents(
-            loc.server, "/f", [(loc.local_offset, 1)], b"\xff"
+            loc.server, subfile_names(record.file_id)[0],
+            [(loc.local_offset, 1)], b"\xff",
         )
         with pytest.raises(ChecksumError):
             h.read(0, BRICK)
@@ -306,21 +309,20 @@ def test_checksum_comes_from_the_lowest_index_copy():
     """A replica that had drifted hashes differently after a partial
     write; the primary's checksum is the one committed, so scrub finds
     the replica, not the primary, at fault."""
-    from repro.core.brick import replica_subfile
-
     fs = DPFS.memory(3)
     hint = Hint.linear(file_size=BRICK, brick_size=BRICK, replicas=2)
     fs.write_file("/f", payload(BRICK), hint)
     record, bmap = fs.meta.load_file("/f")
-    (rloc,) = fs.meta.load_replica_map("/f", record).locations(0)
+    (rloc,) = fs.meta.load_replica_map(record).locations(0)
+    name, rname = subfile_names(record.file_id)
     fs.backend.write_extents(
-        rloc.server, replica_subfile("/f"), [(rloc.local_offset + 9, 1)], b"?"
+        rloc.server, rname, [(rloc.local_offset + 9, 1)], b"?"
     )
     with fs.open("/f", "r+") as h:
         h.write(100, b"new")
     record, _ = fs.meta.load_file("/f")
     ploc = bmap.location(0)
-    primary = fs.backend.read_extents(ploc.server, "/f", [(ploc.local_offset, BRICK)])
+    primary = fs.backend.read_extents(ploc.server, name, [(ploc.local_offset, BRICK)])
     assert record.brick_crcs[0] == checksum(primary)
     (finding,) = scrub(fs).findings
     assert finding.kind == "checksum-mismatch" and finding.server == rloc.server

@@ -298,17 +298,15 @@ def test_background_probe_drives_down_to_up_without_traffic(tmp_path):
 
 @pytest.mark.parametrize(
     "wire_op, mutate",
-    [
-        ("rename", lambda fs: fs.rename("/f", "/g")),
-        ("delete", lambda fs: fs.remove("/f")),
-    ],
-    ids=["rename", "remove"],
+    [("delete", lambda fs: fs.remove("/f"))],
+    ids=["remove"],
 )
 def test_lost_reply_to_fanout_step_is_replayed(tmp_path, wire_op, mutate):
-    """The server applies a rename/delete but its reply is lost: the
+    """The server applies a delete but its reply is lost: the
     dispatcher replays the whole fan-out step on a fresh socket, the
     replay converges instead of failing on the already-applied change,
-    and the mutation completes with an empty journal and a clean fsck."""
+    and the mutation completes with an empty journal and a clean fsck.
+    (A rename reaches no server, so it has no reply to lose.)"""
     size = 4 * 8192
     data = bytes((3 * i) % 256 for i in range(size))
     servers = [DPFSServer(tmp_path / f"srv{i}").start() for i in range(2)]
@@ -329,8 +327,6 @@ def test_lost_reply_to_fanout_step_is_replayed(tmp_path, wire_op, mutate):
         assert fs.intents.pending() == []
         assert fsck(fs).clean
         assert not fs.isfile("/f")
-        if wire_op == "rename":
-            assert fs.read_file("/g") == data
     finally:
         fs.close()
         for p in proxies:

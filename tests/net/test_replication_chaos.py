@@ -8,7 +8,7 @@ import pytest
 
 from repro.backends.local import escape_subfile_name
 from repro.core import DPFS, Hint, fsck, scrub
-from repro.core.brick import replica_subfile
+from repro.core.brick import subfile_names
 from repro.net import ChaosProxy, DPFSServer
 
 BRICK = 8 * 1024
@@ -81,9 +81,10 @@ def test_corrupt_subfile_on_disk(cluster):
     fs.write_file("/f", data, rhint(len(data)))
 
     # garble the primary copy of brick 1 in the server's backing file
-    _record, bmap = fs.meta.load_file("/f")
+    record, bmap = fs.meta.load_file("/f")
     loc = bmap.location(1)
-    disk = tmp_path / f"srv{loc.server}" / escape_subfile_name("/f")
+    name, _ = subfile_names(record.file_id)
+    disk = tmp_path / f"srv{loc.server}" / escape_subfile_name(name)
     raw = bytearray(disk.read_bytes())
     raw[loc.local_offset : loc.local_offset + loc.size] = b"\xee" * loc.size
     disk.write_bytes(bytes(raw))
@@ -108,10 +109,10 @@ def test_corrupt_replica_on_disk_found_by_scrub(cluster):
     fs.write_file("/f", data, rhint(len(data)))
 
     record, _bmap = fs.meta.load_file("/f")
-    rmap = fs.meta.load_replica_map("/f", record)
+    rmap = fs.meta.load_replica_map(record)
     rloc = rmap.locations(0)[0]
     disk = tmp_path / f"srv{rloc.server}" / escape_subfile_name(
-        replica_subfile("/f")
+        subfile_names(record.file_id)[1]
     )
     raw = bytearray(disk.read_bytes())
     raw[rloc.local_offset] ^= 0xFF
@@ -144,15 +145,16 @@ def test_replicated_write_fans_to_both_copies(cluster):
     data = payload(2 * BRICK)
     fs.write_file("/f", data, rhint(len(data)))
     record, bmap = fs.meta.load_file("/f")
-    rmap = fs.meta.load_replica_map("/f", record)
+    rmap = fs.meta.load_replica_map(record)
+    name, rname = subfile_names(record.file_id)
     for brick_id in range(len(bmap)):
         loc = bmap.location(brick_id)
         rloc = rmap.locations(brick_id)[0]
-        primary = (tmp_path / f"srv{loc.server}" / escape_subfile_name("/f")).read_bytes()
+        primary = (
+            tmp_path / f"srv{loc.server}" / escape_subfile_name(name)
+        ).read_bytes()
         replica = (
-            tmp_path
-            / f"srv{rloc.server}"
-            / escape_subfile_name(replica_subfile("/f"))
+            tmp_path / f"srv{rloc.server}" / escape_subfile_name(rname)
         ).read_bytes()
         want = data[brick_id * BRICK : (brick_id + 1) * BRICK]
         assert primary[loc.local_offset : loc.local_offset + loc.size] == want

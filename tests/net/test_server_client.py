@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import DPFS, Hint
+from repro.core.brick import subfile_names
 from repro.errors import FileSystemError, TransportError
 from repro.net import DPFSServer, RemoteBackend, ServerConnection
 
@@ -127,15 +128,16 @@ def test_remote_backend_full_stack(tmp_path):
         assert np.array_equal(col, data[:, 16:24])
 
         # subfiles really live on the servers' local directories
+        name, _ = subfile_names(fs.meta.load_file("/grid")[0].file_id)
         sizes = [
-            backend.subfile_size(i, "/grid")
+            backend.subfile_size(i, name)
             for i in range(3)
-            if backend.subfile_exists(i, "/grid")
+            if backend.subfile_exists(i, name)
         ]
         assert sum(sizes) >= data.nbytes
 
         fs.remove("/grid")
-        assert not backend.subfile_exists(0, "/grid")
+        assert not backend.subfile_exists(0, name)
         fs.close()
     finally:
         for s in servers:
@@ -153,6 +155,25 @@ def test_rename_over_tcp(conn):
     conn.rename("/old", "/new")
     assert not conn.exists("/old")
     assert conn.read("/new", [(0, 4)]) == b"data"
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda c: c.read("/ghost", [(0, 4)]),
+        lambda c: c.write("/ghost", [(0, 4)], b"data"),
+        lambda c: c.size("/ghost"),
+        lambda c: c.rename("/ghost", "/elsewhere"),
+    ],
+    ids=["read", "write", "size", "rename"],
+)
+def test_missing_subfile_fails_loudly_over_tcp(conn, op):
+    """The server acts on a subfile with one system call and no
+    existence check first; a missing one still comes back as an error,
+    which the client raises as FileSystemError, and nothing is made."""
+    with pytest.raises(FileSystemError, match="No such file"):
+        op(conn)
+    assert not conn.exists("/ghost") and not conn.exists("/elsewhere")
 
 
 def test_rename_missing_subfile_raises(conn):

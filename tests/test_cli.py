@@ -119,6 +119,8 @@ def _make_replicated(root, data):
 
 def test_scrub_subcommand(tmp_path, capsys):
     from repro.backends.local import escape_subfile_name
+    from repro.core import DPFS
+    from repro.core.brick import subfile_names
 
     root = tmp_path / "dpfs"
     data = bytes(range(256)) * 64  # 4 bricks
@@ -128,7 +130,9 @@ def test_scrub_subcommand(tmp_path, capsys):
 
     # garble one whole replica subfile: findings remain -> nonzero;
     # --repair rewrites every bad copy from the primaries -> zero
-    rname = escape_subfile_name("/f//r")
+    with DPFS.local(root, n_servers=4) as fs:
+        file_id = fs.meta.load_file("/f")[0].file_id
+    rname = escape_subfile_name(subfile_names(file_id)[1])
     victim = next(
         p
         for i in range(4)
@@ -144,9 +148,9 @@ def test_scrub_subcommand(tmp_path, capsys):
     assert main(["fsck", "--root", str(root)]) == 0
 
 
-def _crash_mid_rename(root):
-    """Leave a half-renamed file + pending intent behind, like a dead
-    client would."""
+def _crash_mid_remove(root):
+    """Leave a removed file's subfiles + pending intent behind, like a
+    dead client would."""
     from repro.core import DPFS, Hint
     from repro.core.crashpoints import SimulatedCrash, arm, disarm
 
@@ -155,10 +159,10 @@ def _crash_mid_rename(root):
     fs.write_file(
         "/f", data, Hint.linear(file_size=len(data), brick_size=1024)
     )
-    arm("filesystem.rename.after_metadata")
+    arm("filesystem.remove.after_metadata")
     try:
         try:
-            fs.rename("/f", "/g")
+            fs.remove("/f")
         except SimulatedCrash:
             pass
         else:  # pragma: no cover - arming failed
@@ -174,7 +178,7 @@ def test_recover_subcommand_and_json_reports(tmp_path, capsys):
     import json
 
     root = tmp_path / "dpfs"
-    data = _crash_mid_rename(root)
+    _crash_mid_remove(root)
 
     # fsck --json surfaces the pending intent and exits nonzero
     assert main(["fsck", "--root", str(root), "--json"]) == 1
@@ -187,15 +191,15 @@ def test_recover_subcommand_and_json_reports(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert any(f["kind"] == "pending-intent" for f in report["findings"])
 
-    # recover rolls the rename forward and exits zero
+    # recover rolls the remove forward and exits zero
     assert main(["recover", "--root", str(root), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tool"] == "recover" and report["clean"]
     (action,) = report["actions"]
-    assert action["op"] == "rename" and action["direction"] == "forward"
+    assert action["op"] == "remove" and action["path"] == "/f"
     assert action["ok"]
 
-    # everything is clean afterwards and the file lives under /g
+    # everything is clean afterwards, and no subfile is left
     assert main(["fsck", "--root", str(root), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["clean"]
     assert main(["scrub", "--root", str(root)]) == 0
@@ -205,7 +209,7 @@ def test_recover_subcommand_and_json_reports(tmp_path, capsys):
 
     fs = DPFS.local(root, n_servers=4)
     assert not fs.exists("/f")
-    assert fs.read_file("/g") == data
+    assert [fs.backend.list_subfiles(s) for s in range(4)] == [[]] * 4
     fs.close()
 
 
@@ -225,14 +229,9 @@ def test_fsck_repair_exits_nonzero_when_findings_remain(tmp_path, capsys):
     _make_replicated(root, data)
     # break the brick map beyond repair: drop one distribution row
     db = Database(root / "dpfs.meta")
-    name = db.execute(
-        "SELECT server_name FROM dpfs_file_distribution "
-        "WHERE filename = '/f' LIMIT 1"
-    ).scalar()
     db.execute(
-        "DELETE FROM dpfs_file_distribution WHERE filename = '/f' "
-        "AND server_name = ?",
-        [name],
+        "DELETE FROM dpfs_file_distribution WHERE rowid ="
+        " (SELECT rowid FROM dpfs_file_distribution LIMIT 1)"
     )
     db.close()
     assert main(["fsck", "--root", str(root)]) == 1
