@@ -25,6 +25,7 @@ from repro.errors import (
     MetaDBError,
     MultiServerError,
 )
+from repro.metadb import Database
 
 BRICK = 4096
 DATA = bytes(range(256)) * 16  # one brick
@@ -204,6 +205,33 @@ def test_create_file_maps_only_its_own_constraint_failures(fs):
     with pytest.raises(ConstraintError, match="NOT NULL"):
         fs.meta.create_file(replace(record, path="/g", owner=None), bmap, names)
     assert not fs.meta.file_exists("/g")
+
+
+def test_create_loser_deletes_only_subfiles_the_winner_does_not_hold():
+    """The losing create of a race keeps the winner's subfiles and
+    leaves none of its own elsewhere: the winner commits after the
+    loser planned bricks on servers 0-2, so the loser's insert is
+    refused before it makes (and so before it could delete) any
+    subfile."""
+    db = Database()
+    backend = MemoryBackend(4)
+    fs = DPFS(backend, db, auto_recover=False)
+    winner = DPFS(backend, db, auto_recover=False)
+    real = fs._check_capacity
+
+    def plan_then_lose(brick_map, replica_map=None):
+        real(brick_map, replica_map)
+        winner.write_file("/f", DATA, lhint(len(DATA)))  # server 0 only
+
+    fs._check_capacity = plan_then_lose
+    with pytest.raises(FileExists):
+        fs.write_file("/f", DATA * 3, lhint(3 * len(DATA)))  # servers 0-2
+    del fs._check_capacity
+    assert subfiles(fs) == {(0, names(fs, "/f")[0])}
+    assert fs.read_file("/f") == DATA
+    assert fs.intents.pending() == []
+    fs.remove("/f")
+    assert subfiles(fs) == set()
 
 
 def test_replica_subfile_only_on_replica_row_servers(fs):
