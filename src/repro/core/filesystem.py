@@ -13,6 +13,7 @@ algorithms (§4.1) and the request planner (§4.2).
 
 from __future__ import annotations
 
+import ctypes
 import os
 from typing import Any, Sequence
 
@@ -45,6 +46,35 @@ __all__ = ["DPFS"]
 
 #: default permission bits for new files (the paper's example uses 744)
 DEFAULT_PERMISSION = 0o744
+
+#: glibc ``mallopt`` parameters, and the value both are pinned at
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_THRESHOLD = 128 * 1024
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at their 128 KiB defaults.
+
+    Left alone, glibc raises its mmap threshold to the size of the
+    largest mapped block freed so far.  Once a client has freed one
+    multi-MiB write buffer, later buffers of that size come from the
+    heap, and a freed one stays resident there as a hole.  Whether the
+    next buffer fits that hole depends on whether small allocations of
+    a later mount landed in it, which changes with thread timing, so
+    the process's footprint differed by a whole buffer from one run to
+    the next.  Pinned, every block of 128 KiB or more gets its own
+    mapping and is returned to the system when freed; the price is
+    that such a block is mapped afresh each time, which slows large
+    reads.  Process-wide, idempotent, and a no-op where the C library
+    has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
+
 
 # -- crash points ------------------------------------------------------------
 # One per boundary that separates two different durable states of a
@@ -124,6 +154,7 @@ class DPFS:
         tracing: bool = False,
         auto_recover: bool = True,
     ) -> None:
+        _pin_malloc_thresholds()
         self.backend = backend
         self.db = db if db is not None else Database()
         self.meta = MetadataManager(self.db)
