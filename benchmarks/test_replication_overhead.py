@@ -25,6 +25,7 @@ import time
 
 from conftest import BENCH_SHAPE  # noqa: F401  (harness import convention)
 
+from repro.backends.local import SIDECAR_SUFFIX
 from repro.core import DPFS, Hint
 from repro.net import DPFSServer
 
@@ -45,7 +46,14 @@ def _timed_write(addresses, roots, replicas: int) -> tuple[float, int]:
     wall = time.perf_counter() - start
 
     assert fs.read_file("/f") == payload
-    stored = sum(p.stat().st_size for d in roots for p in d.iterdir())
+    # subfiles only: a large subfile's checksum sidecar file is not a
+    # brick copy
+    stored = sum(
+        p.stat().st_size
+        for d in roots
+        for p in d.iterdir()
+        if not p.name.endswith(SIDECAR_SUFFIX)
+    )
     fs.remove("/f")
     fs.close()
     return wall, stored

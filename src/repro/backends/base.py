@@ -15,91 +15,22 @@ remote     real TCP connections to ``dpfs server`` processes (:mod:`repro.net`)
 simulated  discrete-event timing model (no real bytes) for the §8 evaluation
 ========== =================================================================
 
-Every backend hashes the bricks a write touches where the bytes live:
-:meth:`StorageBackend.write_extents` takes the touched bricks'
-``(local_offset, size)`` and returns one ``(crc, version)`` per brick,
-computed under the lock that serialises the server's writes (see
-:func:`hash_bricks` and :class:`VersionClock`).
+Every backend keeps one checksum per 4 KiB chunk of each subfile where
+the bytes live, in a sidecar next to it (:mod:`repro.backends.chunks`):
+:meth:`StorageBackend.write_extents` re-stamps the chunks it touches and
+:meth:`StorageBackend.read_extents` verifies the chunks it covers.
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from ..core.checksum import CRC_ALGORITHM, checksum_fn
 from ..errors import FileSystemError
 from ..util import Extent, total_extent_bytes
 
-__all__ = [
-    "BrickCrc",
-    "ServerInfo",
-    "StorageBackend",
-    "VersionClock",
-    "hash_bricks",
-]
-
-#: what a write returns per touched brick: the brick's checksum after
-#: the write (None when the algorithm is unknown here) and the version
-#: that orders it against other writes' checksums of the same brick
-BrickCrc = tuple[int | None, int]
-
-
-class VersionClock:
-    """Per-server version stamps for brick checksums.
-
-    :meth:`next` returns ``max(last + 1, time.time_ns())``: strictly
-    increasing on one server, and ordered across its restarts by the
-    wall clock.  The caller holds the lock that serialises the server's
-    writes, so version order is the order in which the bricks were
-    hashed.  Versions from different servers are not compared: each
-    server's clock is its own.
-    """
-
-    def __init__(self) -> None:
-        self._last = 0
-
-    def next(self) -> int:
-        self._last = max(self._last + 1, time.time_ns())
-        return self._last
-
-
-def hash_bricks(
-    bricks: Sequence[Extent],
-    crc_algo: str,
-    read_brick: Callable[[int, int], bytes | memoryview],
-    clock: VersionClock,
-) -> list[BrickCrc]:
-    """Checksums of the bricks a just-applied write touched.
-
-    Each brick is read back with ``read_brick(offset, size)``, which may
-    return fewer than ``size`` bytes (the sparse tail reads as zeros).
-    The caller holds the lock that serialised the write, so the hash
-    sees no other writer's half-applied bytes.  One version from
-    ``clock`` stamps every brick.
-    """
-    if not bricks:
-        return []
-    version = clock.next()
-    try:
-        crc = checksum_fn(crc_algo)
-    except KeyError:
-        return [(None, version)] * len(bricks)
-    out: list[BrickCrc] = []
-    for off, size in bricks:
-        chunk = read_brick(off, size)
-        try:
-            value = crc(chunk, 0)
-            missing = size - len(chunk)
-        finally:
-            if isinstance(chunk, memoryview):
-                chunk.release()
-        if missing > 0:
-            value = crc(bytes(missing), value)
-        out.append((value, version))
-    return out
+__all__ = ["ServerInfo", "StorageBackend"]
 
 
 @dataclass(frozen=True)
@@ -153,7 +84,8 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def list_subfiles(self, server: int) -> list[str]:
-        """Names of every subfile on one server (fsck support)."""
+        """Names of every subfile on one server (fsck support); a
+        subfile's sidecar is part of it, not a subfile of its own."""
 
     @abstractmethod
     def subfile_size(self, server: int, name: str) -> int:
@@ -162,13 +94,16 @@ class StorageBackend(ABC):
     # -- I/O ---------------------------------------------------------------
     @abstractmethod
     def read_extents(
-        self, server: int, name: str, extents: Sequence[Extent]
+        self, server: int, name: str, extents: Sequence[Extent], *, verify: bool = True
     ) -> bytes:
         """Read the given subfile extents, concatenated in list order.
 
         Reading past the current physical end returns zero bytes for the
         missing tail (sparse-file semantics — bricks are materialised
-        lazily on first write).
+        lazily on first write).  Every 4 KiB chunk the extents cover is
+        checked against the subfile's sidecar first, and a mismatch
+        raises :class:`~repro.errors.ChecksumError`; ``verify=False``
+        skips that, for re-stamping a chunk from the bytes it holds.
         """
 
     @abstractmethod
@@ -178,17 +113,11 @@ class StorageBackend(ABC):
         name: str,
         extents: Sequence[Extent],
         data: bytes | bytearray | memoryview,
-        bricks: Sequence[Extent] = (),
-        crc_algo: str = CRC_ALGORITHM,
-    ) -> list[BrickCrc]:
+    ) -> None:
         """Write ``data`` across the given extents in list order,
-        extending the subfile as needed.
-
-        ``bricks`` lists the ``(local_offset, size)`` of each brick the
-        write touches; the return value holds one ``(crc, version)``
-        per brick, in that order, hashed under ``crc_algo`` after the
-        write applied and under the same lock.  ``data`` is copied,
-        never kept.
+        extending the subfile as needed, then re-stamp the sidecar entry
+        of every chunk the extents touched, under the lock that
+        serialises the server's writes.  ``data`` is copied, never kept.
         """
 
     # -- shared validation --------------------------------------------------
@@ -205,6 +134,12 @@ class StorageBackend(ABC):
             raise FileSystemError(
                 f"extent list covers {need} bytes but payload is {len(data)}"
             )
+
+    @staticmethod
+    def _check_extents(extents: Sequence[Extent]) -> None:
+        for off, ln in extents:
+            if off < 0 or ln < 0:
+                raise FileSystemError(f"invalid extent ({off}, {ln})")
 
     # -- optional hooks -----------------------------------------------------
     def server_health(self, server: int) -> int:

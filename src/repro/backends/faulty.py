@@ -22,10 +22,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from ..core.checksum import CRC_ALGORITHM
 from ..errors import FileSystemError
 from ..util import Extent
-from .base import BrickCrc, ServerInfo, StorageBackend
+from .base import ServerInfo, StorageBackend
 
 __all__ = ["InjectedFault", "TransientFault", "FaultyBackend"]
 
@@ -135,10 +134,10 @@ class FaultyBackend(StorageBackend):
         return self.inner.list_subfiles(server)
 
     def read_extents(
-        self, server: int, name: str, extents: Sequence[Extent]
+        self, server: int, name: str, extents: Sequence[Extent], *, verify: bool = True
     ) -> bytes:
         self._maybe_fail("read", server)
-        return self.inner.read_extents(server, name, extents)
+        return self.inner.read_extents(server, name, extents, verify=verify)
 
     def write_extents(
         self,
@@ -146,13 +145,9 @@ class FaultyBackend(StorageBackend):
         name: str,
         extents: Sequence[Extent],
         data: bytes | bytearray | memoryview,
-        bricks: Sequence[Extent] = (),
-        crc_algo: str = CRC_ALGORITHM,
-    ) -> list[BrickCrc]:
+    ) -> None:
         self._maybe_fail("write", server)
-        return self.inner.write_extents(
-            server, name, extents, data, bricks, crc_algo
-        )
+        self.inner.write_extents(server, name, extents, data)
 
     def close(self) -> None:
         self.inner.close()

@@ -5,16 +5,45 @@ from __future__ import annotations
 import threading
 from collections.abc import Sequence
 
-from ..core.checksum import CRC_ALGORITHM
 from ..errors import FileSystemError
 from ..util import Extent
-from .base import BrickCrc, ServerInfo, StorageBackend, VersionClock, hash_bricks
+from .base import ServerInfo, StorageBackend
+from .chunks import read_chunks, write_chunks
 
 __all__ = ["MemoryBackend"]
 
 
+def _put(buf: bytearray, off: int, data: bytes | memoryview) -> None:
+    end = off + len(data)
+    if end > len(buf):
+        buf.extend(bytes(end - len(buf)))
+    buf[off:end] = data
+
+
+class _Subfile:
+    """A subfile's bytes and its sidecar, each a ``bytearray`` (the
+    store :mod:`repro.backends.chunks` reads and writes)."""
+
+    __slots__ = ("name", "blob", "sums")
+
+    def __init__(self, name: str) -> None:
+        self.name, self.blob, self.sums = name, bytearray(), bytearray()
+
+    def read(self, off: int, size: int) -> bytes:
+        return bytes(self.blob[off : off + size])
+
+    def write(self, off: int, data: bytes | memoryview) -> None:
+        _put(self.blob, off, data)
+
+    def read_sums(self, off: int, size: int) -> bytes:
+        return bytes(self.sums[off : off + size])
+
+    def write_sums(self, off: int, data: bytes) -> None:
+        _put(self.sums, off, data)
+
+
 class MemoryBackend(StorageBackend):
-    """Each server is a dict of subfile name → bytearray."""
+    """Each server is a dict of subfile name → its bytes and sidecar."""
 
     def __init__(
         self,
@@ -37,14 +66,12 @@ class MemoryBackend(StorageBackend):
             ServerInfo(name=names[i], capacity=capacity, performance=perf[i])
             for i in range(n_servers)
         ]
-        self._store: list[dict[str, bytearray]] = [dict() for _ in range(n_servers)]
+        self._store: list[dict[str, _Subfile]] = [dict() for _ in range(n_servers)]
         # one lock per server: extents from concurrent dispatch workers
         # may interleave on the same subfile (the grow-then-assign in
         # write_extents is not atomic), mirroring the real server's
-        # per-device I/O serialization; brick checksums are hashed and
-        # versioned under it too
+        # per-device I/O serialization; sidecars are updated under it
         self._io_locks = [threading.Lock() for _ in range(n_servers)]
-        self._clocks = [VersionClock() for _ in range(n_servers)]
 
     @property
     def servers(self) -> list[ServerInfo]:
@@ -53,7 +80,7 @@ class MemoryBackend(StorageBackend):
     # -- lifecycle ---------------------------------------------------------
     def create_subfile(self, server: int, name: str) -> None:
         self._check_server(server)
-        self._store[server].setdefault(name, bytearray())
+        self._store[server].setdefault(name, _Subfile(name))
 
     def delete_subfile(self, server: int, name: str) -> None:
         self._check_server(server)
@@ -65,9 +92,10 @@ class MemoryBackend(StorageBackend):
 
     def rename_subfile(self, server: int, old: str, new: str) -> None:
         self._check_server(server)
-        blob = self._store[server].pop(old, None)
-        if blob is not None:
-            self._store[server][new] = blob
+        sub = self._store[server].pop(old, None)
+        if sub is not None:
+            sub.name = new
+            self._store[server][new] = sub
 
     def list_subfiles(self, server: int) -> list[str]:
         self._check_server(server)
@@ -75,32 +103,24 @@ class MemoryBackend(StorageBackend):
 
     def subfile_size(self, server: int, name: str) -> int:
         self._check_server(server)
+        return len(self._subfile(server, name).blob)
+
+    # -- I/O ---------------------------------------------------------------
+    def _subfile(self, server: int, name: str) -> _Subfile:
         try:
-            return len(self._store[server][name])
+            return self._store[server][name]
         except KeyError:
             raise FileSystemError(
                 f"no subfile {name!r} on server {server}"
             ) from None
 
-    # -- I/O ---------------------------------------------------------------
     def read_extents(
-        self, server: int, name: str, extents: Sequence[Extent]
+        self, server: int, name: str, extents: Sequence[Extent], *, verify: bool = True
     ) -> bytes:
         self._check_server(server)
+        self._check_extents(extents)
         with self._io_locks[server]:
-            blob = self._store[server].get(name)
-            if blob is None:
-                raise FileSystemError(f"no subfile {name!r} on server {server}")
-            out = bytearray()
-            size = len(blob)
-            for off, ln in extents:
-                if off < 0 or ln < 0:
-                    raise FileSystemError(f"invalid extent ({off}, {ln})")
-                chunk = bytes(blob[off : min(off + ln, size)])
-                if len(chunk) < ln:                   # sparse tail → zeros
-                    chunk += b"\x00" * (ln - len(chunk))
-                out += chunk
-            return bytes(out)
+            return read_chunks(self._subfile(server, name), extents, verify=verify)
 
     def write_extents(
         self,
@@ -108,28 +128,9 @@ class MemoryBackend(StorageBackend):
         name: str,
         extents: Sequence[Extent],
         data: bytes | bytearray | memoryview,
-        bricks: Sequence[Extent] = (),
-        crc_algo: str = CRC_ALGORITHM,
-    ) -> list[BrickCrc]:
+    ) -> None:
         self._check_server(server)
         self._check_payload(extents, data)
-        view = memoryview(data)
+        self._check_extents(extents)
         with self._io_locks[server]:
-            blob = self._store[server].get(name)
-            if blob is None:
-                raise FileSystemError(f"no subfile {name!r} on server {server}")
-            pos = 0
-            for off, ln in extents:
-                if off < 0 or ln < 0:
-                    raise FileSystemError(f"invalid extent ({off}, {ln})")
-                end = off + ln
-                if end > len(blob):
-                    blob.extend(b"\x00" * (end - len(blob)))
-                blob[off:end] = view[pos : pos + ln]
-                pos += ln
-            return hash_bricks(
-                bricks,
-                crc_algo,
-                lambda off, size: memoryview(blob)[off : off + size],
-                self._clocks[server],
-            )
+            write_chunks(self._subfile(server, name), extents, data)

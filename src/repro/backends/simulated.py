@@ -11,13 +11,11 @@ Operations are priced one at a time (the caller is a single synchronous
 client); for multi-client contention experiments use
 :mod:`repro.perf`, which simulates all ranks concurrently.
 
-A write is priced as the transfer and disk write of its extents only.
-The server-side read-back and hash of each brick the write touches
-(:func:`repro.backends.base.hash_bricks`) is not priced: those bytes
-were just written and sit in the server's page cache, and the model
-has no per-byte CPU cost to charge them to.  This under-prices a
-partial-brick write against a real server, which reads and hashes the
-whole brick.
+A write is priced as the transfer and disk write of its extents only,
+and a read as the transfer and disk read of its extents.  The chunk
+checksums a server keeps (:mod:`repro.backends.chunks`) are not priced:
+the model has no per-byte CPU cost to charge their hashing to, and the
+4-byte sidecar entries are too small to move a disk model.
 
 Pricing runs under a lock so the backend tolerates the parallel
 dispatch layer's concurrent workers (the DES environment itself is
@@ -33,13 +31,12 @@ import threading
 import time
 from collections.abc import Sequence
 
-from ..core.checksum import CRC_ALGORITHM
 from ..errors import FileSystemError
 from ..netsim.classes import StorageClassParams, build_topology
 from ..netsim.node import CostParams, WireRequest, serve_request
 from ..sim import Environment
 from ..util import Extent, coalesce_extents
-from .base import BrickCrc, ServerInfo, StorageBackend
+from .base import ServerInfo, StorageBackend
 from .memory import MemoryBackend
 
 __all__ = ["SimulatedBackend"]
@@ -120,9 +117,9 @@ class SimulatedBackend(StorageBackend):
 
     # -- priced I/O -----------------------------------------------------------
     def read_extents(
-        self, server: int, name: str, extents: Sequence[Extent]
+        self, server: int, name: str, extents: Sequence[Extent], *, verify: bool = True
     ) -> bytes:
-        data = self._store.read_extents(server, name, extents)
+        data = self._store.read_extents(server, name, extents, verify=verify)
         self._price(server, extents, is_read=True)
         return data
 
@@ -132,11 +129,6 @@ class SimulatedBackend(StorageBackend):
         name: str,
         extents: Sequence[Extent],
         data: bytes | bytearray | memoryview,
-        bricks: Sequence[Extent] = (),
-        crc_algo: str = CRC_ALGORITHM,
-    ) -> list[BrickCrc]:
-        crcs = self._store.write_extents(
-            server, name, extents, data, bricks, crc_algo
-        )
+    ) -> None:
+        self._store.write_extents(server, name, extents, data)
         self._price(server, extents, is_read=False)
-        return crcs

@@ -269,7 +269,6 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
                     "files_checked": report.files_checked,
                     "bricks_checked": report.bricks_checked,
                     "copies_checked": report.copies_checked,
-                    "checksums_backfilled": report.checksums_backfilled,
                     "findings": [
                         {
                             "kind": f.kind,

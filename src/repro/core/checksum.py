@@ -1,18 +1,17 @@
-"""End-to-end brick checksums.
+"""Payload checksums.
 
-Every brick payload is protected by a 32-bit CRC that is computed by
-the server storing the brick as it applies a write
-(:func:`repro.backends.base.hash_bricks`), stored in file metadata,
-verified on full-brick reads, and re-verified at rest by the scrubber
-(:mod:`repro.core.scrub`).  The
-same routine protects wire frames (:mod:`repro.net.protocol`).
+Every wire frame's payload carries a 32-bit CRC (:mod:`repro.net.protocol`),
+and the storage servers keep one CRC-32 per 4 KiB chunk of every subfile
+(:mod:`repro.backends.chunks`, always :func:`zlib.crc32`).  This module
+names the implementations a wire frame may use, and those that the
+per-brick checksums of a root written before chunk checksums used, so
+such a root can be checked once when it is migrated.
 
 Algorithm selection: CRC32C (Castagnoli) is the checksum of choice for
 storage systems (iSCSI, ext4, GPFS descendants) because commodity CPUs
 compute it in hardware.  Python only exposes hardware CRC32C through
 third-party extensions, so we pick the best implementation available
-and *record the algorithm name in metadata* so stored checksums remain
-verifiable even if the environment changes:
+and *record the algorithm name* next to every checksum:
 
 ``crc32c``
     the C extension (google's ``crc32c`` package) when importable —
@@ -21,13 +20,12 @@ verifiable even if the environment changes:
     :func:`zlib.crc32` (IEEE polynomial, C speed) — the default
     fallback for data being written *now*;
 pure-python Castagnoli
-    kept as a slow compatibility path so metadata written under a
-    ``crc32c``-capable interpreter still verifies here.
+    kept as a slow compatibility path so checksums computed under a
+    ``crc32c``-capable interpreter still verify here.
 
-All algorithms return an unsigned 32-bit int; a brick's stored checksum
-is only ever compared against a recomputation under the *same* named
-algorithm, so mixing environments degrades to a re-scrub, never to a
-false corruption verdict.
+All algorithms return an unsigned 32-bit int; a checksum is only ever
+compared against a recomputation under the *same* named algorithm, so
+mixing environments never yields a false corruption verdict.
 """
 
 from __future__ import annotations
@@ -82,8 +80,8 @@ except ImportError:
     _crc32c = crc32c_soft
     CRC_ALGORITHM = "crc32"
 
-#: name → implementation; every name ever used as a file's ``crc_algo``
-#: must stay resolvable here so old metadata keeps verifying
+#: name → implementation; every name a file's stored checksums ever used
+#: must stay resolvable here so an old root can be checked as it migrates
 _ALGORITHMS: dict[str, Callable[[bytes, int], int]] = {
     "crc32": _crc32,
     "crc32c": _crc32c,

@@ -14,6 +14,7 @@ algorithms (§4.1) and the request planner (§4.2).
 from __future__ import annotations
 
 import ctypes
+import logging
 import os
 from typing import Any, Sequence
 
@@ -32,17 +33,21 @@ from ..metadb import Database
 from ..obs import MetricsRegistry, Tracer
 from .brick import BrickMap, ReplicaMap, subfile_names
 from .cache import BrickCache
+from .checksum import checksum_fn
 from .crashpoints import crashpoint, register
 from .dispatch import Dispatcher, DispatchPolicy
 from .handle import FileHandle
 from .hints import Hint
 from .intent import IntentLog, RecoveryReport
 from .intent import recover as _recover_intents
-from .metadata import FileRecord, Holders, MetadataManager, normalize_path
+from .metadata import FileRecord, Holders, MetadataManager, StaleCopy, normalize_path
 from .placement import Greedy, PlacementPolicy, RoundRobin, make_policy
+from .scrub import brick_copies, read_fresh_copy
 from .striping import FileLevel, LinearStriping
 
 __all__ = ["DPFS"]
+
+_log = logging.getLogger(__name__)
 
 #: default permission bits for new files (the paper's example uses 744)
 DEFAULT_PERMISSION = 0o744
@@ -156,22 +161,22 @@ class DPFS:
     ) -> None:
         _pin_malloc_thresholds()
         self.backend = backend
+        #: unified observability: one registry per instance is the
+        #: source of truth for every counter/histogram/gauge
+        #: (``dpfs stats``), and the tracer records per-request span
+        #: trees when enabled (``tracing=True`` / ``dpfs trace``).
+        #: Disabled tracing is a no-op fast path.
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(enabled=tracing)
         self.db = db if db is not None else Database()
         self.meta = MetadataManager(self.db)
         self.meta.register_servers(backend.servers)
         #: journal of removes and refills still owing server work
         #: (dpfs_intent table)
-        self.intents = IntentLog(self.db)
+        self.intents = IntentLog(self.db, self.metrics)
         self._rename_legacy_subfiles()
         self.owner = owner
         self.default_combine = default_combine
-        #: unified observability: one registry per instance is the
-        #: source of truth for every counter/histogram (``dpfs stats``),
-        #: and the tracer records per-request span trees when enabled
-        #: (``tracing=True`` / ``dpfs trace``).  Disabled tracing is a
-        #: no-op fast path.
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(enabled=tracing)
         #: shared per-server request scheduler (repro.core.dispatch).
         #: ``io_workers`` caps the fan-out; backends that declare
         #: ``parallel_safe = False`` are driven sequentially regardless.
@@ -200,10 +205,14 @@ class DPFS:
             readahead_bricks if self.cache is not None else 0
         )
         self._server_names = [info.name for info in backend.servers]
-        #: copies that failed checksum verification and have not been
-        #: repaired yet: (file_id, brick_id, server).  Copy selection
-        #: skips these; read-repair and the scrubber clear them.
-        self.quarantine: set[tuple[int, int, int]] = set()
+        #: out-of-date brick copies, ``(file_id, brick_id, server)``: the
+        #: ``dpfs_stale_copy`` table as read at mount (and, per file, at
+        #: open), kept in step with it.  Reads skip them.
+        self.stale_copies: set[StaleCopy] = self.meta.stale_copies()
+        self._g_stale = self.metrics.gauge(
+            "dpfs_stale_copies", "brick copies listed stale in metadata"
+        )
+        self._g_stale.set(len(self.stale_copies))
         self._c_failover = self.metrics.counter(
             "dpfs_read_failovers_total",
             "reads served from a non-preferred brick copy, by reason",
@@ -219,6 +228,7 @@ class DPFS:
             "dpfs_write_degraded_total",
             "writes that succeeded with fewer than all copies",
         )
+        self._stamp_legacy_sidecars()
         #: crash recovery: roll forward any remove or refill a dead
         #: client left behind before this mount serves its first
         #: request.  Re-running one a live client sharing this metadata
@@ -298,7 +308,7 @@ class DPFS:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- replication/checksum accounting --------------------------------------
+    # -- replication/checksum accounting and the stale list -------------------
     def _note_failover(self, reason: str) -> None:
         self._c_failover.inc(reason=reason)
 
@@ -311,11 +321,29 @@ class DPFS:
     def _note_degraded_write(self) -> None:
         self._c_degraded.inc()
 
+    def _list_stale(self, copies: set[StaleCopy], stale: bool = True) -> None:
+        """List brick copies as stale, durably, before returning
+        (``stale=False``: strike repaired ones off)."""
+        if copies:
+            self.meta.list_stale(copies, stale)
+            mine = self.stale_copies
+            self.stale_copies = (mine | copies) if stale else (mine - copies)
+            self._g_stale.set(len(self.stale_copies))
+
     def _forget(self, file_id: int) -> None:
-        """Drop every in-memory trace of a removed file."""
+        """Drop every in-memory trace of a removed file (its stale rows
+        went with its attr row)."""
         if self.cache is not None:
             self.cache.invalidate_file(file_id)
-        self.quarantine = {q for q in self.quarantine if q[0] != file_id}
+        self._reload_stale(file_id, set())
+
+    def _reload_stale(self, file_id: int, stale: set[StaleCopy] | None = None) -> None:
+        """Re-read one file's stale copies (or take ``stale``): another
+        client sharing this metadata may have listed some since."""
+        if stale is None:
+            stale = self.meta.stale_copies(file_id)
+        self.stale_copies = {c for c in self.stale_copies if c[0] != file_id} | stale
+        self._g_stale.set(len(self.stale_copies))
 
     # -- recovery --------------------------------------------------------------
     def recover(self) -> RecoveryReport:
@@ -345,6 +373,57 @@ class DPFS:
             self.meta.legacy_subfiles_renamed(server)
         if failures:
             raise MultiServerError("rename path-named subfiles to file ids", failures)
+
+    def _stamp_legacy_sidecars(self) -> None:
+        """Build the sidecars of a root written before them from the bytes.
+
+        A copy failing its old checksum is listed stale and logged; one
+        with none is taken as it is (a file from before checksums) and
+        left alone if all zeros (never written).  One transaction per
+        file then swaps its checksums for ``written`` flags, so a crash
+        or a DOWN server leaves the rest to the next mount.
+        """
+        failures: list[tuple[int, Exception]] = []
+        for file_id, geometry in self.meta.legacy_checksums():
+            stored, algo = geometry.get("brick_crcs") or [], geometry.get("crc_algo")
+            record, bmap = self.meta.load_file(file_id)
+            rmap = self.meta.load_replica_map(record) if record.replicas > 1 else None
+            try:
+                crc = checksum_fn(algo)
+            except KeyError:
+                crc = None
+                _log.warning("%s: stored checksums use unknown algorithm %r;"
+                             " its bytes are taken as they are", record.path, algo)
+            stored = stored + [None] * (len(bmap) - len(stored))
+            written = [int(c is not None) for c in stored]
+            stale: set[StaleCopy] = set()
+            try:
+                for brick_id, (loc, name) in (
+                    (b, copy) for b in range(len(bmap))
+                    for copy in brick_copies(file_id, bmap, rmap, b)
+                ):
+                    key, extent = (loc.server, name), [(loc.local_offset, loc.size)]
+                    if not self.backend.subfile_exists(*key):
+                        continue  # a lost subfile: fsck reports it
+                    data = self.backend.read_extents(*key, extent, verify=False)
+                    if not written[brick_id] and data.count(0) == len(data):
+                        continue
+                    self.backend.write_extents(*key, extent, data)
+                    written[brick_id] = 1
+                    want = stored[brick_id]
+                    if crc is not None and want is not None and crc(data, 0) != want:
+                        _log.warning("%s brick %d: the copy on server %d does not"
+                                     " match its stored checksum; listed stale",
+                                     record.path, brick_id, loc.server)
+                        stale.add((file_id, brick_id, loc.server))
+            except (DPFSError, OSError) as exc:
+                failures.append((key[0], exc))
+                continue
+            self.meta.legacy_checksums_done(file_id, written, stale)
+            self.stale_copies |= stale
+        self._g_stale.set(len(self.stale_copies))
+        if failures:
+            raise MultiServerError("build checksum sidecars", failures)
 
     # -- namespace ------------------------------------------------------------
     def mkdir(self, path: str) -> None:
@@ -485,8 +564,9 @@ class DPFS:
     def _copy_replica_bricks(
         self, file_id: int, bmap: BrickMap, rmap: ReplicaMap, server: int
     ) -> None:
-        """(Re)write every replica brick one server holds, from primaries."""
-        name, rname = subfile_names(file_id)
+        """(Re)write every replica brick one server holds from fresh copies
+        elsewhere, striking them off the stale list."""
+        rname = subfile_names(file_id)[1]
         self.backend.create_subfile(server, rname)
         for rloc in (
             rl
@@ -494,14 +574,15 @@ class DPFS:
             for rl in rmap.locations(b)
             if rl.server == server
         ):
-            ploc = bmap.location(rloc.brick_id)
-            data = self.backend.read_extents(
-                ploc.server, name, [(ploc.local_offset, ploc.size)]
+            data = read_fresh_copy(
+                self, file_id, bmap, rmap, rloc.brick_id, exclude=server
             )
             self.backend.write_extents(
-                server, rname, [(rloc.local_offset, rloc.size)], bytes(data)
+                server, rname, [(rloc.local_offset, rloc.size)], data
             )
             crashpoint(CP_REFILL_MID_COPY)
+        refilled = {(file_id, b, server) for b in rmap.bricklists[server]}
+        self._list_stale(refilled & self.stale_copies, stale=False)
 
     def _redo_refill_replicas(self, file_id: int, server: int) -> None:
         """Crash-recovery redo: refill one server's replica subfile."""
@@ -561,11 +642,10 @@ class DPFS:
                     f"{norm}: permission {oct(record.permission)} denies "
                     f"mode {mode!r}"
                 )
-            replica_map = (
-                self.meta.load_replica_map(record)
-                if record.replicas > 1
-                else None
-            )
+            replica_map = None
+            if record.replicas > 1:
+                replica_map = self.meta.load_replica_map(record)
+                self._reload_stale(record.file_id)
 
         striping = self._striping_for(record)
         return FileHandle(
@@ -760,7 +840,7 @@ class DPFS:
             raise
         handle.brick_map, handle.replica_map = brick_map, replica_map
         record.brick_sizes = brick_sizes
-        record.pad_crcs()
+        record.pad_written()
         record.size = new_size
 
     # -- convenience -----------------------------------------------------------

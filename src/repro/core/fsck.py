@@ -14,12 +14,13 @@ repairs) drift between them:
                        does not exist, and no brick it held was written
                        or each written one has another copy (repair:
                        recreate empty; unwritten bricks read as zeros,
-                       and the deep pass rewrites written ones from
-                       their other copy)
-``lost-subfile``       as ``missing-subfile``, but a brick it held has a
-                       stored checksum and no other copy: its bytes are
-                       gone (unrepairable: reported, and reads keep
-                       failing rather than return zeros)
+                       and written ones are listed stale, so the deep
+                       pass rewrites them from their other copy)
+``lost-subfile``       as ``missing-subfile``, but a brick it held was
+                       written (its ``written`` flag is set) and has no
+                       other copy: its bytes are gone (unrepairable:
+                       reported, and reads keep failing rather than
+                       return zeros)
 ``missing-replica``    a replica bricklist references a server where the
                        replica subfile does not exist (repair: recreate
                        and refill every replica brick from its primary)
@@ -37,10 +38,10 @@ Directory membership needs no pass: a file's or directory's own
 refuses any statement that would leave a child without its directory.
 
 With ``deep=True`` (the default) fsck additionally runs the scrubber's
-copy verification over every file, surfacing ``checksum-mismatch``,
-``stale-checksum``, ``replica-divergence`` and ``unreadable-copy``
-findings with the same repair semantics as ``dpfs scrub``
-(:mod:`repro.core.scrub`).
+copy verification over every file, surfacing ``stale-copy``,
+``checksum-mismatch``, ``stale-checksum``, ``replica-divergence`` and
+``unreadable-copy`` findings with the same repair semantics as
+``dpfs scrub`` (:mod:`repro.core.scrub`).
 
     report = fsck(fs)
     if not report.clean:
@@ -210,13 +211,12 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
             bricks = bmap.bricklist(server)
             if not bricks or backend.subfile_exists(server, name):
                 continue
-            # a brick with a stored checksum held data; without another
-            # copy to rewrite it from, an empty subfile would turn it
-            # into zeros no read could tell from the real bytes
+            # a written brick held data; without another copy to
+            # rewrite it from, an empty subfile would turn it into zeros
+            # no read could tell from the real bytes
             lost = [
                 b for b in bricks
-                if record.brick_crcs[b] is not None
-                and (rmap is None or not rmap.servers_of(b))
+                if record.written[b] and (rmap is None or not rmap.servers_of(b))
             ]
             if lost:
                 report.findings.append(
@@ -230,6 +230,11 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                 continue
             if repair:
                 backend.create_subfile(server, name)
+                # its written bricks now read as zeros that verify: list
+                # them stale, so the deep pass rewrites them
+                fs._list_stale(
+                    {(file_id, b, server) for b in bricks if record.written[b]}
+                )
             report.findings.append(
                 Finding(
                     "missing-subfile",
@@ -257,7 +262,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                     )
                 )
 
-    # -- deep pass: checksum-verify every copy of every brick ------------------
+    # -- deep pass: read every copy of every brick, converge them --------------
     # (after pass 1, whose recreated subfiles this pass rewrites from
     # their other copy)
     if deep:

@@ -43,11 +43,11 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import span
 from ..util import Extent
 from .brick import BrickLocation, BrickMap, BrickSlice, ReplicaMap, subfile_names
-from .checksum import checksum_fn
+from .checksum import checksum_fn  # noqa: F401 - perfbench's ledger wraps it here
 from .combine import ServerRequest, SlicePlacement, plan_requests
 from .crashpoints import crashpoint, register
 from .metadata import FileRecord
-from .scrub import rewrite_copy
+from .scrub import brick_copies, read_fresh_copy, repair_copy
 from .striping import FileLevel, LinearStriping, StripingMethod
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,10 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["FileHandle", "IOStats"]
 
-#: after a write's data landed on the servers, before the brick
-#: checksums it returned are committed to metadata: a crash here leaves
-#: checksums that scrub reports as ``stale-checksum``
-CP_WRITE_BEFORE_CRC_COMMIT = register("handle.write.before_crc_commit")
+#: after a write's data landed on the servers, before the first write
+#: of a brick sets its ``written`` flag: a crash here leaves written
+#: bytes that fsck's lost-subfile rule takes for an unwritten brick
+CP_WRITE_BEFORE_WRITTEN_MARK = register("handle.write.before_written_mark")
 
 
 @dataclass
@@ -209,13 +209,6 @@ class FileHandle:
         #: read-ahead state: one past the last brick id fetched by a
         #: cache-enabled read (sequential-pattern detector)
         self._next_expected_brick = 0
-        #: checksum routine matching the file's stored checksums; None
-        #: when the algorithm is unknown here (verification is skipped —
-        #: never a false corruption verdict)
-        try:
-            self._crc = checksum_fn(record.crc_algo)
-        except KeyError:
-            self._crc = None
 
     # -- bookkeeping ---------------------------------------------------------
     @property
@@ -423,97 +416,54 @@ class FileHandle:
         rmap = self.replica_map
         return rmap is not None and any(rmap.bricklists)
 
-    def _copy_locations(
-        self, brick_id: int
-    ) -> list[tuple[int, BrickLocation, str]]:
-        """All copies of a brick as ``(copy_index, location, subfile)``.
+    def _choose_copy(self, brick_id: int) -> tuple[int, BrickLocation]:
+        """Copy to read, as ``(copy index, location)``: the first copy
+        not listed stale on an UP server, else on a DEGRADED one, else
+        the first (its read raises); all listed raises ChecksumError."""
+        stale = self.fs.stale_copies
+        copies = [
+            (idx, loc)
+            for idx, (loc, _name) in enumerate(
+                brick_copies(self._id, self.brick_map, self.replica_map, brick_id)
+            )
+            if (self._id, brick_id, loc.server) not in stale
+        ]
+        if not copies:
+            raise ChecksumError(
+                f"{self.record.path} brick {brick_id}: every copy is listed "
+                f"stale (missed a write or failed its checksum)"
+            )
+        health = [self.fs.backend.server_health(loc.server) for _idx, loc in copies]
+        best = max(range(len(copies)), key=lambda i: (min(health[i], 2), -i))
+        if copies[best][0] != 0:
+            self.fs._note_failover("health")
+        return copies[best]
 
-        Copy 0 is always the primary; replica indices follow the replica
-        map's deterministic order, so a request's ``copy`` tag resolves
-        back to the same location here.
-        """
-        copies = [(0, self.brick_map.location(brick_id), self._name)]
-        if self.replica_map is not None:
-            for i, loc in enumerate(
-                self.replica_map.locations(brick_id), start=1
-            ):
-                copies.append((i, loc, self._rname))
-        return copies
-
-    def _choose_copy(self, brick_id: int) -> tuple[int, BrickLocation, str]:
-        """Copy to read: primary when UP, else the first healthy copy.
-
-        Quarantined copies (a failed verification not yet repaired) are
-        skipped; a DEGRADED server is only used when nothing is UP, and
-        when every copy is excluded the primary is returned so the error
-        surfaces from the actual read.
-        """
-        copies = self._copy_locations(brick_id)
-        if len(copies) == 1:
-            return copies[0]
-        quarantine = self.fs.quarantine
-        backend = self.fs.backend
-        fallback = None
-        for entry in copies:
-            idx, loc, _name = entry
-            if (self._id, brick_id, loc.server) in quarantine:
-                continue
-            health = backend.server_health(loc.server)
-            if health >= 2:
-                if idx != 0:
-                    self.fs._note_failover("health")
-                return entry
-            if fallback is None and health >= 1:
-                fallback = entry
-        if fallback is not None:
-            if fallback[0] != 0:
-                self.fs._note_failover("health")
-            return fallback
-        return copies[0]
-
-    def _stored_crc(self, brick_id: int) -> int | None:
-        crcs = self.record.brick_crcs
-        return crcs[brick_id] if brick_id < len(crcs) else None
-
-    def _crc_matches(self, brick_id: int, blob) -> bool:
-        """Does a full brick's payload match its stored checksum?
-
-        A mismatch against the checksums this handle loaded re-reads the
-        stored ones once before it counts: another handle may have
-        rewritten the brick since this one opened.
-        """
-        want = self._stored_crc(brick_id)
-        if want is None:
-            return True
-        got = self._crc(blob, 0)
-        if got == want:
-            return True
-        stored, _ = self.fs.meta.load_file(self._id)
-        self.record.brick_crcs = stored.brick_crcs
-        self.record.brick_crc_versions = stored.brick_crc_versions
-        crc = self._stored_crc(brick_id)
-        return crc is None or got == crc
+    def _replica_requests(
+        self, groups: dict[tuple[int, int], list[SlicePlacement]]
+    ) -> list[ServerRequest]:
+        """One request per ``(server, replica copy index)`` group."""
+        return [
+            ServerRequest(server, placements, name=self._rname, copy=idx)
+            for (server, idx), placements in sorted(groups.items())
+        ]
 
     def _plan_read(self, slices: list[BrickSlice]) -> list[ServerRequest]:
-        """Wire plan with a health/quarantine-aware copy choice per brick."""
-        if not self._has_replicas():
+        """Wire plan with a health- and staleness-aware copy choice per
+        brick."""
+        if not self._has_replicas() and not self.fs.stale_copies:
             return self._plan(slices)
         primary: list[BrickSlice] = []
         groups: dict[tuple[int, int], list[SlicePlacement]] = {}
         for s in slices:
-            idx, loc, _name = self._choose_copy(s.brick_id)
+            idx, loc = self._choose_copy(s.brick_id)
             if idx == 0:
                 primary.append(s)
             else:
                 groups.setdefault((loc.server, idx), []).append(
                     SlicePlacement(s, loc.server, loc.local_offset + s.offset)
                 )
-        plan = self._plan(primary) if primary else []
-        for (server, idx), placements in sorted(groups.items()):
-            plan.append(
-                ServerRequest(server, placements, name=self._rname, copy=idx)
-            )
-        return plan
+        return (self._plan(primary) if primary else []) + self._replica_requests(groups)
 
     def _plan_write(self, slices: list[BrickSlice]) -> list[ServerRequest]:
         """Primary plan plus one request per (server, replica copy)."""
@@ -522,15 +472,11 @@ class FileHandle:
             return plan
         groups: dict[tuple[int, int], list[SlicePlacement]] = {}
         for s in slices:
-            for idx, loc, _name in self._copy_locations(s.brick_id)[1:]:
+            for idx, loc in enumerate(self.replica_map.locations(s.brick_id), start=1):
                 groups.setdefault((loc.server, idx), []).append(
                     SlicePlacement(s, loc.server, loc.local_offset + s.offset)
                 )
-        for (server, idx), placements in sorted(groups.items()):
-            plan.append(
-                ServerRequest(server, placements, name=self._rname, copy=idx)
-            )
-        return plan
+        return plan + self._replica_requests(groups)
 
     def _execute_read(self, slices: list[BrickSlice], total: int) -> bytes:
         with self.fs.tracer.trace(
@@ -651,27 +597,19 @@ class FileHandle:
             name = req.name if req.name is not None else self._name
             try:
                 data = backend.read_extents(req.server, name, req.extents)
-            except (DPFSError, OSError):
+            except (DPFSError, OSError) as exc:
                 if not self._has_replicas():
                     raise
-                # the chosen copy's server failed mid-read: serve every
-                # slice of this request from a surviving copy instead
-                self.fs._note_failover("error")
-                total = 0
-                for p in req.placements:
-                    blob = self._read_alternate(p.slice, exclude_server=req.server)
-                    bo = p.slice.buffer_offset
-                    payload[bo : bo + p.slice.length] = blob
-                    total += p.slice.length
-                return total
+                self._fail_over(req, exc, payload)
+                return sum(p.slice.length for p in req.placements)
             view = memoryview(data)
             pos = 0
             for p in req.placements:
                 ln = p.slice.length
-                blob = view[pos : pos + ln]
+                payload[p.slice.buffer_offset : p.slice.buffer_offset + ln] = view[
+                    pos : pos + ln
+                ]
                 pos += ln
-                blob = self._verified(p, blob, name)
-                payload[p.slice.buffer_offset : p.slice.buffer_offset + ln] = blob
             return len(data)
 
         def done(req, result) -> None:
@@ -688,79 +626,32 @@ class FileHandle:
 
         self.fs.dispatcher.run(plan, fetch, on_result=done)
 
-    # -- verification, failover, read-repair -------------------------------
-    def _verified(self, p: SlicePlacement, blob: bytes, name: str) -> bytes:
-        """End-to-end check of a full-brick payload against metadata.
-
-        Only full-brick placements can be verified (the stored CRC
-        covers the whole brick); partial reads pass through — the
-        scrubber covers them at rest.  On mismatch the copy is
-        quarantined and the brick is served from a copy that verifies,
-        which is then written back over the bad copy (inline
-        read-repair).
-        """
-        s = p.slice
-        if self._crc is None:
-            return blob
-        if s.offset != 0 or s.length != self.brick_map.location(s.brick_id).size:
-            return blob
-        if self._crc_matches(s.brick_id, blob):
-            return blob
-        self.fs._note_checksum_error()
-        self.fs.quarantine.add((self._id, s.brick_id, p.server))
-        if not self._has_replicas():
-            raise ChecksumError(
-                f"{self.record.path} brick {s.brick_id}: payload does not "
-                f"match stored {self.record.crc_algo} checksum and the file "
-                f"has no replicas"
+    # -- failover and read-repair ------------------------------------------
+    def _fail_over(
+        self, req: ServerRequest, exc: Exception, payload: bytearray
+    ) -> None:
+        """Serve a failed read request's slices from other copies; after a
+        checksum failure, rewrite its bricks on the failed copy (inline
+        read-repair), listing stale those that cannot be rewritten."""
+        corrupt = isinstance(exc, ChecksumError)
+        if corrupt:
+            self.fs._note_checksum_error()
+        self.fs._note_failover("checksum" if corrupt else "error")
+        for p in req.placements:
+            s = p.slice
+            payload[s.buffer_offset : s.buffer_offset + s.length] = read_fresh_copy(
+                self.fs, self._id, self.brick_map, self.replica_map,
+                s.brick_id, exclude=req.server, offset=s.offset, length=s.length,
             )
-        self.fs._note_failover("checksum")
-        good = self._read_alternate(s, exclude_server=p.server)
-        # full brick: the placement's extent is the whole bad copy
-        rewrite_copy(
-            self.fs, self._id, s.brick_id, p.server, name,
-            p.subfile_offset, s.length, bytes(good),
-        )
-        return good
-
-    def _read_alternate(self, s: BrickSlice, *, exclude_server: int) -> bytes:
-        """Read one slice from any surviving copy, verifying when possible.
-
-        Tries copies in preference order (primary first), skipping the
-        failed server and quarantined copies.  Raises the last transport
-        error — or :class:`ChecksumError` when every reachable copy
-        fails verification.
-        """
-        backend = self.fs.backend
-        verify = self._crc is not None and (
-            s.offset == 0
-            and s.length == self.brick_map.location(s.brick_id).size
-        )
-        last_exc: Exception | None = None
-        for _idx, loc, name in self._copy_locations(s.brick_id):
-            if loc.server == exclude_server:
-                continue
-            if (self._id, s.brick_id, loc.server) in self.fs.quarantine:
-                continue
-            try:
-                blob = backend.read_extents(
-                    loc.server, name,
-                    [(loc.local_offset + s.offset, s.length)],
+        if corrupt:
+            self.fs._list_stale({
+                (self._id, brick_id, req.server)
+                for brick_id in set(req.brick_ids)
+                if not repair_copy(
+                    self.fs, self._id, self.brick_map, self.replica_map,
+                    brick_id, req.server,
                 )
-            except (DPFSError, OSError) as exc:
-                last_exc = exc
-                continue
-            if verify and not self._crc_matches(s.brick_id, blob):
-                self.fs._note_checksum_error()
-                self.fs.quarantine.add((self._id, s.brick_id, loc.server))
-                continue
-            return blob
-        if last_exc is not None:
-            raise last_exc
-        raise ChecksumError(
-            f"{self.record.path} brick {s.brick_id}: no reachable copy "
-            f"matches the stored {self.record.crc_algo} checksum"
-        )
+            })
 
     def _execute_write(self, slices: list[BrickSlice], data: bytes) -> None:
         with self.fs.tracer.trace(
@@ -776,8 +667,6 @@ class FileHandle:
 
         view = memoryview(data)
         succeeded: list[ServerRequest] = []
-        #: (brick, copy) -> (crc, version, server) as that copy's server returned
-        crcs: dict[tuple[int, int], tuple[int | None, int, int]] = {}
         results_lock = threading.Lock()
 
         def put(req) -> int:
@@ -791,22 +680,7 @@ class FileHandle:
                     for p in placements
                 )
             name = req.name if req.name is not None else self._name
-            bricks = self._request_bricks(req)
-            returned = backend.write_extents(
-                req.server,
-                name,
-                req.extents,
-                blob,
-                list(bricks.values()),
-                self.record.crc_algo,
-            )
-            with results_lock:
-                for brick_id, (crc, version) in zip(bricks, returned):
-                    key = (brick_id, req.copy)
-                    # two requests to one copy (uncombined slices of one
-                    # brick): the later hash saw both writes
-                    if key not in crcs or version > crcs[key][1]:
-                        crcs[key] = (crc, version, req.server)
+            backend.write_extents(req.server, name, req.extents, blob)
             return len(blob)
 
         def done(req, result) -> None:
@@ -827,9 +701,10 @@ class FileHandle:
             self.fs.dispatcher.run(plan, put, on_result=done)
         except (DPFSError, OSError):
             # Quorum-less degraded write: the write stands as long as
-            # every touched brick reached at least one copy — stale
-            # copies on the failed server are caught later by checksum
-            # verification and repaired by read-repair or the scrubber.
+            # every touched brick reached at least one copy.  The copies
+            # it missed hold self-consistent old bytes, so they are
+            # listed stale before the write returns; reads skip them
+            # until scrub, refill or read-repair rewrites them.
             if not self._has_replicas():
                 raise
             written: set[int] = set()
@@ -837,9 +712,20 @@ class FileHandle:
                 written.update(req.brick_ids)
             if not {s.brick_id for s in slices} <= written:
                 raise
+            done_ids = {id(req) for req in succeeded}
+            self.fs._list_stale({
+                (self._id, brick_id, req.server)
+                for req in plan if id(req) not in done_ids
+                for brick_id in req.brick_ids
+            })
             self.fs._note_degraded_write()
-        crashpoint(CP_WRITE_BEFORE_CRC_COMMIT)
-        self._commit_crcs(crcs)
+        flags = self.record.written
+        first = sorted({s.brick_id for s in slices if not flags[s.brick_id]})
+        if first:
+            crashpoint(CP_WRITE_BEFORE_WRITTEN_MARK)
+            self.fs.meta.mark_written(self._id, first)
+            for brick_id in first:
+                flags[brick_id] = 1
         cache = self.fs.cache
         if cache is not None:
             # write-through coherence: patch any cached image in place
@@ -851,44 +737,6 @@ class FileHandle:
                         s.offset,
                         data[s.buffer_offset : s.buffer_offset + s.length],
                     )
-
-    def _request_bricks(self, req: ServerRequest) -> dict[int, tuple[int, int]]:
-        """The ``(local_offset, size)`` on the request's subfile of every
-        brick the request touches, keyed by brick id."""
-        bricks: dict[int, tuple[int, int]] = {}
-        for p in req.placements:
-            brick_id = p.slice.brick_id
-            if brick_id not in bricks:
-                bricks[brick_id] = (
-                    p.subfile_offset - p.slice.offset,
-                    self.brick_map.location(brick_id).size,
-                )
-        return bricks
-
-    def _commit_crcs(
-        self, crcs: dict[tuple[int, int], tuple[int | None, int, int]]
-    ) -> None:
-        """Store the checksums the servers returned, one transaction.
-
-        Each brick's ``(crc, version)`` comes from the lowest-index copy
-        that took the write and is stamped with that copy's server;
-        metadata keeps it unless the stored checksum came from the same
-        server with a newer version, so concurrent writers of one brick
-        need no client-side lock.
-        """
-        chosen: dict[int, tuple[int | None, int, int]] = {}
-        for (brick_id, _copy), result in sorted(crcs.items(), reverse=True):
-            chosen[brick_id] = result  # a brick's lowest copy comes last
-        names = self.fs._server_names
-        versions = {
-            b: (names[server], version) for b, (_c, version, server) in chosen.items()
-        }
-        applied = self.fs.meta.update_brick_crcs(
-            self._id, {b: crc for b, (crc, _v, _s) in chosen.items()}, versions
-        )
-        for brick_id, crc in applied.items():
-            self.record.brick_crcs[brick_id] = crc
-            self.record.brick_crc_versions[brick_id] = list(versions[brick_id])
 
     # ------------------------------------------------------------------
     # growth (linear level)

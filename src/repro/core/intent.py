@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..metadb import Database
+from ..obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .filesystem import DPFS
@@ -68,10 +69,11 @@ class IntentLog:
     """The ``dpfs_intent`` table: write-ahead records of multi-step ops.
 
     Ids are AUTOINCREMENT, so a retired intent's id is never handed out
-    again and a late :meth:`retire` cannot drop a newer intent.
+    again and a late :meth:`retire` cannot drop a newer intent.  The
+    ``dpfs_intents_pending`` gauge of ``registry`` follows the table.
     """
 
-    def __init__(self, db: Database) -> None:
+    def __init__(self, db: Database, registry: MetricsRegistry | None = None) -> None:
         self.db = db
         self.db.execute(
             "CREATE TABLE IF NOT EXISTS dpfs_intent ("
@@ -80,6 +82,10 @@ class IntentLog:
             " args JSON NOT NULL,"
             " done JSON NOT NULL DEFAULT '[]')"
         )
+        self._pending = (registry or MetricsRegistry()).gauge(
+            "dpfs_intents_pending", "removes and refills still owing server work"
+        )
+        self._pending.set(self.db.execute("SELECT COUNT(*) FROM dpfs_intent").scalar())
 
     # ------------------------------------------------------------------
     def begin(self, op: str, args: dict[str, Any]) -> Intent:
@@ -88,6 +94,7 @@ class IntentLog:
         intent_id = self.db.execute(
             "INSERT INTO dpfs_intent (op, args) VALUES (?, ?)", [op, dict(args)]
         ).lastrowid
+        self._pending.inc()
         return Intent(intent_id, op, dict(args))
 
     def mark(self, intent: Intent, step: str) -> None:
@@ -102,9 +109,10 @@ class IntentLog:
 
     def retire(self, intent: Intent) -> None:
         """Drop a finished intent (idempotent)."""
-        self.db.execute(
+        if self.db.execute(
             "DELETE FROM dpfs_intent WHERE intent_id = ?", [intent.intent_id]
-        )
+        ).rowcount:
+            self._pending.dec()
 
     def pending(self) -> list[Intent]:
         """Every unretired intent, oldest first."""

@@ -38,9 +38,10 @@ paper's names become underscores — SQL identifiers):
 A fifth table, ``dpfs_file_replica``, extends the paper's schema with
 per-server *replica* bricklists (same shape as the distribution table)
 for files created with ``replicas > 1``; the geometry JSON additionally
-carries ``replicas``, the per-brick ``brick_crcs`` checksum list, the
-``brick_crc_versions`` that order those checksums, and the ``crc_algo``
-they were computed under.
+carries ``replicas`` and a per-brick ``written`` flag, set by a brick's
+first write (checksums live with the bytes, :mod:`repro.backends.chunks`).
+A sixth table, ``dpfs_stale_copy``, lists the brick copies known to be
+out of date: missed by a degraded write, or found bad and not repaired.
 
 :class:`MetadataManager` is the only component that speaks SQL; the
 file system above it works with :class:`FileRecord` objects.
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import os
 import posixpath
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, NoReturn
 
@@ -62,10 +64,12 @@ from ..errors import (
 )
 from ..metadb import Database
 from .brick import BrickMap, ReplicaMap, subfile_names
-from .checksum import CRC_ALGORITHM
 from .striping import FileLevel
 
 __all__ = ["MetadataManager", "FileRecord", "Holders", "normalize_path", "split_path"]
+
+#: a brick copy that is out of date: ``(file_id, brick_id, server)``
+StaleCopy = tuple[int, int, int]
 
 
 def normalize_path(path: str) -> str:
@@ -111,27 +115,19 @@ class FileRecord:
     brick_sizes: list[int]          # per-brick byte sizes (brick-id order)
     #: copies of every brick (1 = unreplicated)
     replicas: int = 1
-    #: per-brick payload checksums (brick-id order); ``None`` = never
-    #: written / unknown — verification skips those bricks
-    brick_crcs: list[int | None] = field(default_factory=list)
-    #: algorithm the stored checksums were computed under
-    crc_algo: str = CRC_ALGORITHM
-    #: per-brick ``[server_name, version]`` of each stored checksum, as
-    #: stamped by the server that hashed it; ``None`` = not set by a
-    #: server write
-    brick_crc_versions: list[list | None] = field(default_factory=list)
+    #: per-brick flag (brick-id order): 1 once the brick has been
+    #: written, so fsck can tell a lost brick from one never written
+    written: list[int] = field(default_factory=list)
     #: the file's never-reused id, which names its subfiles (0: not
     #: created yet)
     file_id: int = 0
 
     def __post_init__(self) -> None:
-        self.pad_crcs()
+        self.pad_written()
 
-    def pad_crcs(self) -> None:
-        """Extend the checksum and version lists to one entry per brick."""
-        n = len(self.brick_sizes)
-        for crcs in (self.brick_crcs, self.brick_crc_versions):
-            crcs += [None] * (n - len(crcs))
+    def pad_written(self) -> None:
+        """Extend the written flags to one per brick."""
+        self.written += [0] * (len(self.brick_sizes) - len(self.written))
 
 
 _BRICKLIST_TABLES = ("dpfs_file_distribution", "dpfs_file_replica")
@@ -173,6 +169,9 @@ _HOLDERS_SQL = " UNION ALL ".join(
 _LEGACY_REPLICA_SUFFIX = "//r"
 # the path-named subfiles a migrated root has yet to rename to id names
 _LEGACY_RENAMES = "dpfs_legacy_subfile"
+# the files of a root written before checksum sidecars whose subfiles
+# still need them; their geometry holds the old per-brick checksums
+_LEGACY_CHECKSUMS = "dpfs_legacy_checksum"
 _ATTR_COLUMNS = (
     "filename, owner, permission, size, filelevel, element_size,"
     " geometry, placement, parent"
@@ -237,6 +236,8 @@ class MetadataManager:
     # schema & servers
     # ------------------------------------------------------------------
     def _ensure_schema(self) -> None:
+        tables = self.db.table_names()
+        before_sidecars = "dpfs_file_attr" in tables and "dpfs_stale_copy" not in tables
         self.db.execute(
             "CREATE TABLE IF NOT EXISTS dpfs_server ("
             " server_id INTEGER PRIMARY KEY,"
@@ -267,6 +268,22 @@ class MetadataManager:
         )
         if not self.dir_exists("/"):
             self.db.execute("INSERT INTO dpfs_directory VALUES ('/', NULL)")
+        with self.db.transaction():
+            self.db.execute(
+                "CREATE TABLE IF NOT EXISTS dpfs_stale_copy (file_id INTEGER NOT NULL"
+                " REFERENCES dpfs_file_attr (file_id) ON DELETE CASCADE, brick_id"
+                " INTEGER NOT NULL, server INTEGER NOT NULL, PRIMARY KEY"
+                " (file_id, brick_id, server))"
+            )
+            if before_sidecars:
+                # the mount builds every file's sidecars from its bytes
+                self.db.execute(
+                    f"CREATE TABLE {_LEGACY_CHECKSUMS} (file_id INTEGER PRIMARY KEY)"
+                )
+                self.db.execute(
+                    f"INSERT INTO {_LEGACY_CHECKSUMS}"
+                    " SELECT file_id FROM dpfs_file_attr"
+                )
         if "used" not in self._columns("dpfs_server"):
             # a root written before the counter existed: add it and
             # fill it once from the bricklists
@@ -577,9 +594,7 @@ class MetadataManager:
                 "pgrid": list(record.pgrid) if record.pgrid else None,
                 "brick_sizes": record.brick_sizes,
                 "replicas": record.replicas,
-                "brick_crcs": record.brick_crcs,
-                "brick_crc_versions": record.brick_crc_versions,
-                "crc_algo": record.crc_algo,
+                "written": record.written,
             }
             try:
                 file_id = self.db.execute(
@@ -639,9 +654,7 @@ class MetadataManager:
             placement=attr["placement"],
             brick_sizes=list(geometry["brick_sizes"]),
             replicas=geometry.get("replicas", 1),
-            brick_crcs=list(geometry.get("brick_crcs") or []),
-            crc_algo=geometry.get("crc_algo", CRC_ALGORITHM),
-            brick_crc_versions=list(geometry.get("brick_crc_versions") or []),
+            written=list(geometry.get("written", [])),
             file_id=attr["file_id"],
         )
         dist = self.db.execute(
@@ -680,64 +693,70 @@ class MetadataManager:
             bricklists[server_id] = list(row["bricklist"])
         return ReplicaMap.build(len(order), bricklists, record.brick_sizes)
 
-    def update_brick_crcs(
-        self,
-        file_id: int,
-        crcs: dict[int, int | None],
-        versions: dict[int, tuple[str, int]] | None = None,
-    ) -> dict[int, int | None]:
-        """Merge per-brick checksums into the geometry; returns the ones
-        stored.
+    def mark_written(self, file_id: int, bricks: list[int]) -> None:
+        """Set the ``written`` flag of ``bricks`` (their first write), each
+        in place, leaving the others as a concurrent writer left them."""
+        with self.db.transaction() if len(bricks) > 1 else nullcontext():
+            for brick in bricks:
+                self.db.execute(
+                    "UPDATE dpfs_file_attr SET geometry ="
+                    " json_set(geometry, ?, 1) WHERE file_id = ?",
+                    [f"$.written[{brick}]", file_id],
+                )
 
-        One transaction per *write call*, not per brick — the handle
-        batches every brick a write touched into a single ``crcs`` dict.
-        With ``versions`` (a server write's ``(server_name, version)``
-        stamps), a brick's checksum stamped by the same server as the
-        stored one is stored only if its version is newer, so a slow
-        writer's commit cannot replace a newer writer's checksum.  A
-        stamp from another server always replaces the stored one: two
-        servers' clocks are never compared.  Without ``versions``
-        (scrub, fsck), checksums are stored and the stored stamps kept.
-        """
-        if not crcs:
-            return {}
+    # -- stale copies ------------------------------------------------------
+    def stale_copies(self, file_id: int | None = None) -> set[StaleCopy]:
+        """Every listed stale copy, or those of one file."""
+        rows = self.db.execute(
+            "SELECT file_id, brick_id, server FROM dpfs_stale_copy"
+            + ("" if file_id is None else " WHERE file_id = ?"),
+            [] if file_id is None else [file_id],
+        )
+        return {(r["file_id"], r["brick_id"], r["server"]) for r in rows}
+
+    def list_stale(self, copies: set[StaleCopy], stale: bool = True) -> None:
+        """List copies as stale (``stale=False``: strike them off), in
+        one transaction."""
+        sql = (
+            "INSERT INTO dpfs_stale_copy VALUES (?, ?, ?) ON CONFLICT DO NOTHING"
+            if stale
+            else "DELETE FROM dpfs_stale_copy"
+            " WHERE file_id = ? AND brick_id = ? AND server = ?"
+        )
         with self.db.transaction():
-            rows = self.db.execute(
-                "SELECT geometry FROM dpfs_file_attr WHERE file_id = ?",
-                [file_id],
-            ).rows
-            if not rows:
-                raise FileNotFound(f"file id {file_id}")
-            geometry = dict(rows[0]["geometry"])
-            n = len(geometry["brick_sizes"])
-            stored = list(geometry.get("brick_crcs") or [])
-            stored += [None] * (n - len(stored))
-            stamps = list(geometry.get("brick_crc_versions") or [])
-            stamps += [None] * (n - len(stamps))
-            applied: dict[int, int | None] = {}
-            for brick_id, crc in crcs.items():
-                if not 0 <= brick_id < n:
-                    raise MetaDBError(
-                        f"brick {brick_id} outside crc table of {n}"
-                    )
-                if versions is not None:
-                    server, version = versions[brick_id]
-                    old = stamps[brick_id]
-                    if old is not None and old[0] == server and version <= old[1]:
-                        continue
-                    stamps[brick_id] = [server, version]
-                stored[brick_id] = crc
-                applied[brick_id] = crc
-            if not applied:
-                return applied
-            geometry["brick_crcs"] = stored
-            geometry["brick_crc_versions"] = stamps
-            geometry.setdefault("crc_algo", CRC_ALGORITHM)
+            for copy in sorted(copies):
+                self.db.execute(sql, list(copy))
+
+    # -- roots written before checksum sidecars ------------------------------
+    def legacy_checksums(self) -> list[tuple[int, dict[str, Any]]]:
+        """``(file id, geometry)`` of each file whose subfiles still need
+        sidecars, its geometry holding the per-brick ``brick_crcs`` (None:
+        never written) of an older build, under ``crc_algo``."""
+        if not self._columns(_LEGACY_CHECKSUMS):
+            return []
+        rows = self.db.execute(
+            f"SELECT file_id, geometry FROM {_LEGACY_CHECKSUMS}"
+            " JOIN dpfs_file_attr USING (file_id) ORDER BY file_id"
+        )
+        return [(r["file_id"], r["geometry"]) for r in rows]
+
+    def legacy_checksums_done(
+        self, file_id: int, written: list[int], stale: set[StaleCopy]
+    ) -> None:
+        """One transaction once a file's subfiles have sidecars: list the
+        copies whose bytes failed the old checksums, replace the
+        checksums by ``written`` flags and strike the file off."""
+        with self.db.transaction():
             self.db.execute(
-                "UPDATE dpfs_file_attr SET geometry = ? WHERE file_id = ?",
-                [geometry, file_id],
+                "UPDATE dpfs_file_attr SET geometry = json_remove(json_set("
+                "geometry, '$.written', json(?)), '$.brick_crcs',"
+                " '$.brick_crc_versions', '$.crc_algo') WHERE file_id = ?",
+                [written, file_id],
             )
-        return applied
+            self.list_stale(stale)
+            self.db.execute(
+                f"DELETE FROM {_LEGACY_CHECKSUMS} WHERE file_id = ?", [file_id]
+            )
 
     def update_file_size(self, file_id: int, size: int) -> None:
         self.db.execute(
@@ -746,7 +765,8 @@ class MetadataManager:
         )
 
     def _grow_geometry(self, file_id: int, brick_sizes: list[int]) -> None:
-        """Extend geometry's brick_sizes/brick_crcs (caller holds txn)."""
+        """Extend geometry's brick_sizes and written flags (caller holds
+        the transaction)."""
         rows = self.db.execute(
             "SELECT geometry FROM dpfs_file_attr WHERE file_id = ?",
             [file_id],
@@ -755,11 +775,8 @@ class MetadataManager:
             raise FileNotFound(f"file id {file_id}")
         geometry = dict(rows[0]["geometry"])
         geometry["brick_sizes"] = list(brick_sizes)
-        n = len(brick_sizes)
-        for key in ("brick_crcs", "brick_crc_versions"):
-            values = list(geometry.get(key) or [])
-            values += [None] * (n - len(values))  # new bricks: crc unknown
-            geometry[key] = values[:n]
+        written = list(geometry.get("written", []))
+        geometry["written"] = written + [0] * (len(brick_sizes) - len(written))
         self.db.execute(
             "UPDATE dpfs_file_attr SET geometry = ? WHERE file_id = ?",
             [geometry, file_id],

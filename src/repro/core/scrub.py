@@ -1,37 +1,37 @@
-"""At-rest checksum scrubbing and replica repair.
+"""At-rest scrubbing and replica convergence.
 
-Read-repair (:mod:`repro.core.handle`) only heals bricks that get
-*read*; the scrubber is its offline twin — it walks every file, reads
-every copy of every brick, and compares each copy's checksum against
-the one stored in metadata.  The stored checksum arbitrates:
+Servers verify every read against their per-chunk checksums
+(:mod:`repro.backends.chunks`), and read-repair (:mod:`repro.core.handle`)
+heals the bricks that get read.  The scrubber reads every copy of every
+brick and makes them converge on a *winner* among the copies that
+verify and are not listed stale (:attr:`DPFS.stale_copies`): the bytes
+a strict majority hold, else the lowest-index copy.  Every other copy
+is a finding and is rewritten from the winner:
 
 =====================  ====================================================
-``checksum-mismatch``  a copy differs from the stored checksum while some
-                       copy still matches (repair: rewrite the bad copy
-                       from a matching one)
-``stale-checksum``     every readable copy agrees but none matches the
-                       stored checksum — the metadata record is the stale
-                       party, e.g. a crash between data and metadata
-                       updates (repair: store the agreed checksum)
-``replica-divergence`` copies disagree and the stored checksum matches
-                       none of them; with three or more copies a strict
-                       majority wins (repair: rewrite the minority and
-                       store the majority checksum), otherwise the brick
-                       is reported unrepairable
-``unreadable-copy``    a copy could not be read at all (repair: rewrite
-                       from a verified copy, recreating the subfile)
-``pending-intent``     the intent journal holds an unfinished multi-step
-                       operation — data findings on that path may be
+``stale-copy``         the copy is listed stale: a degraded write missed
+                       it, or an earlier pass found it bad
+``checksum-mismatch``  a chunk of the copy fails its server's checksum
+``replica-divergence`` the copy verifies but holds other bytes than the
+                       winner, e.g. where two writers of one brick reached
+                       its copies in different orders
+``unreadable-copy``    the copy could not be read at all (repair also
+                       recreates its subfile)
+``stale-checksum``     no copy verifies, and the failing ones not listed
+                       stale hold the same bytes: their checksums are
+                       suspect, e.g. after a crash between a write's
+                       bytes and its sidecar (repair: re-stamp them from
+                       their bytes); if those bytes differ, each is an
+                       unrepairable ``checksum-mismatch``
+``pending-intent``     the intent journal holds an unfinished remove or
+                       refill — data findings on that path may be
                        transient (report-only: ``dpfs recover`` or
                        ``dpfs fsck --repair`` resolve it)
 =====================  ====================================================
 
-Bricks whose stored checksum is ``None`` (never written, or created
-before checksums existed) are not findings; ``repair=True`` silently
-backfills their checksum when every copy agrees.
-
-Repaired copies are lifted from the file system's quarantine set;
-unrepairable bad copies are added to it so reads avoid them.
+With no winner, listed stale copies are reported unrepairable.  Only
+``repair`` changes anything: a rewritten copy is struck off the stale
+list, and a readable copy whose rewrite failed is listed.
 
     report = scrub(fs)
     if not report.clean:
@@ -41,22 +41,26 @@ unrepairable bad copies are added to it so reads avoid them.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..errors import DPFSError
-from .brick import subfile_names
-from .checksum import checksum_fn
+from ..backends.chunks import CHUNK_SIZE
+from ..errors import ChecksumError, DPFSError
+from .brick import BrickLocation, BrickMap, ReplicaMap, subfile_names
 
 if TYPE_CHECKING:  # pragma: no cover
     from .filesystem import DPFS
 
-__all__ = ["ScrubFinding", "ScrubReport", "scrub", "verify_file_copies"]
+__all__ = [
+    "ScrubFinding", "ScrubReport", "brick_copies", "read_fresh_copy",
+    "repair_copy", "scrub", "verify_file_copies",
+]
 
 
 @dataclass(frozen=True)
 class ScrubFinding:
-    """One bad brick copy (or stale metadata checksum)."""
+    """One bad brick copy."""
 
     kind: str
     path: str
@@ -81,7 +85,6 @@ class ScrubReport:
     files_checked: int = 0
     bricks_checked: int = 0
     copies_checked: int = 0
-    checksums_backfilled: int = 0
     findings: list[ScrubFinding] = field(default_factory=list)
 
     @property
@@ -100,15 +103,14 @@ class ScrubReport:
             f"scrub: {self.files_checked} files, "
             f"{self.bricks_checked} bricks, "
             f"{self.copies_checked} copies, "
-            f"{len(self.findings)} finding(s), "
-            f"{self.checksums_backfilled} checksum(s) backfilled"
+            f"{len(self.findings)} finding(s)"
         ]
         lines += [str(f) for f in self.findings]
         return "\n".join(lines)
 
 
 def scrub(fs: "DPFS", repair: bool = False) -> ScrubReport:
-    """Verify every copy of every brick against stored checksums."""
+    """Read every copy of every brick and make the copies converge."""
     report = ScrubReport()
     c_bricks = fs.metrics.counter(
         "dpfs_scrub_bricks_total", "bricks verified by the scrubber"
@@ -151,202 +153,219 @@ def verify_file_copies(
     repair: bool = False,
     report: ScrubReport | None = None,
 ) -> list[ScrubFinding]:
-    """Checksum-verify (and optionally repair) all copies of one file.
+    """Check (and optionally repair) all copies of one file.
 
     Shared by :func:`scrub` and :func:`repro.core.fsck.fsck` so both
     tools agree on what corruption means.  Raises on an unloadable brick
     map; the caller classifies that.
     """
-    meta = fs.meta
-    backend = fs.backend
-    record, bmap = meta.load_file(path)
-    rmap = meta.load_replica_map(record) if record.replicas > 1 else None
-    file_id = record.file_id
-    try:
-        crc = checksum_fn(record.crc_algo)
-    except KeyError:
-        return [
-            ScrubFinding(
-                "unknown-checksum-algorithm", path, -1, -1,
-                f"stored checksums use unknown algorithm "
-                f"{record.crc_algo!r}; cannot verify",
-            )
-        ]
+    record, bmap = fs.meta.load_file(path)
+    rmap = fs.meta.load_replica_map(record) if record.replicas > 1 else None
     findings: list[ScrubFinding] = []
-    new_crcs: dict[int, int | None] = {}
-    name, rname = subfile_names(file_id)
     for brick_id in range(len(bmap)):
         if report is not None:
             report.bricks_checked += 1
-        loc = bmap.location(brick_id)
-        copies = [(loc.server, name, loc.local_offset, loc.size)]
-        if rmap is not None:
-            copies += [
-                (rl.server, rname, rl.local_offset, rl.size)
-                for rl in rmap.locations(brick_id)
-            ]
-        datas: dict[tuple[int, str], bytes] = {}
-        unreadable: list[tuple[int, str, int, int, str]] = []
-        for server, copy_name, off, size in copies:
-            if report is not None:
-                report.copies_checked += 1
-            try:
-                datas[(server, copy_name)] = bytes(
-                    backend.read_extents(server, copy_name, [(off, size)])
-                )
-            except (DPFSError, OSError) as exc:
-                unreadable.append((server, copy_name, off, size, str(exc)))
-        crcs = {k: crc(v, 0) for k, v in datas.items()}
-        stored = (
-            record.brick_crcs[brick_id]
-            if brick_id < len(record.brick_crcs)
-            else None
-        )
-
-        good_key = None
-        if stored is not None:
-            good_key = next(
-                (k for k, v in crcs.items() if v == stored), None
-            )
-        if stored is not None and good_key is not None:
-            # stored checksum arbitrates: every other readable copy must
-            # match it, unreadable copies are rewritten from the good one
-            for key, value in crcs.items():
-                if value == stored:
-                    continue
-                server, copy_name = key
-                off, size = _copy_extent(copies, key)
-                repaired = repair and rewrite_copy(
-                    fs, file_id, brick_id, server, copy_name, off, size,
-                    datas[good_key],
-                )
-                if not repaired:
-                    fs.quarantine.add((file_id, brick_id, server))
-                findings.append(
-                    ScrubFinding(
-                        "checksum-mismatch", path, brick_id, server,
-                        f"copy in {copy_name!r} does not match stored "
-                        f"{record.crc_algo} checksum",
-                        repaired,
-                    )
-                )
-            for server, copy_name, off, size, why in unreadable:
-                repaired = repair and rewrite_copy(
-                    fs, file_id, brick_id, server, copy_name, off, size,
-                    datas[good_key], create=True,
-                )
-                if not repaired:
-                    fs.quarantine.add((file_id, brick_id, server))
-                findings.append(
-                    ScrubFinding(
-                        "unreadable-copy", path, brick_id, server,
-                        f"copy in {copy_name!r} unreadable: {why}", repaired,
-                    )
-                )
-            continue
-
-        # no arbiter (stored is None or matches nothing)
-        if not crcs:
-            continue  # nothing readable; existence is fsck's department
-        agreed = len(set(crcs.values())) == 1
-        if agreed:
-            value = next(iter(crcs.values()))
-            if stored is None:
-                # silent backfill: legacy/unwritten bricks are not findings
-                if repair:
-                    new_crcs[brick_id] = value
-                    if report is not None:
-                        report.checksums_backfilled += 1
-            else:
-                repaired = False
-                if repair:
-                    new_crcs[brick_id] = value
-                    repaired = True
-                findings.append(
-                    ScrubFinding(
-                        "stale-checksum", path, brick_id, -1,
-                        f"all {len(crcs)} copies agree but none matches the "
-                        f"stored checksum (metadata is stale)",
-                        repaired,
-                    )
-                )
-            continue
-
-        # copies disagree with no arbiter: strict majority wins
-        counts = Counter(crcs.values())
-        value, votes = counts.most_common(1)[0]
-        if votes > len(crcs) / 2:
-            majority_key = next(k for k, v in crcs.items() if v == value)
-            repaired_all = True
-            for key, v in crcs.items():
-                if v == value:
-                    continue
-                server, copy_name = key
-                off, size = _copy_extent(copies, key)
-                ok = repair and rewrite_copy(
-                    fs, file_id, brick_id, server, copy_name, off, size,
-                    datas[majority_key],
-                )
-                if not ok:
-                    fs.quarantine.add((file_id, brick_id, server))
-                    repaired_all = False
-                findings.append(
-                    ScrubFinding(
-                        "replica-divergence", path, brick_id, server,
-                        f"copy in {copy_name!r} disagrees with the majority "
-                        f"({votes}/{len(crcs)} copies)",
-                        ok,
-                    )
-                )
-            if repair and repaired_all:
-                new_crcs[brick_id] = value
-        else:
-            findings.append(
-                ScrubFinding(
-                    "replica-divergence", path, brick_id, -1,
-                    f"{len(crcs)} copies disagree with no majority and no "
-                    f"stored checksum to arbitrate; unrepairable",
-                )
-            )
-    if repair and new_crcs:
-        meta.update_brick_crcs(file_id, new_crcs)
+            report.copies_checked += 1 + (len(rmap.locations(brick_id)) if rmap else 0)
+        findings += _converge(fs, path, record.file_id, bmap, rmap, brick_id, repair)
     return findings
 
 
-def _copy_extent(
-    copies: list[tuple[int, str, int, int]], key: tuple[int, str]
-) -> tuple[int, int]:
-    for server, name, off, size in copies:
-        if (server, name) == key:
-            return off, size
-    raise KeyError(key)
+def _converge(
+    fs: "DPFS",
+    path: str,
+    file_id: int,
+    bmap: BrickMap,
+    rmap: ReplicaMap | None,
+    brick_id: int,
+    repair: bool,
+) -> list[ScrubFinding]:
+    """Findings (and repairs) for the copies of one brick."""
+    copies = brick_copies(file_id, bmap, rmap, brick_id)
+    datas: dict[int, bytes] = {}
+    bad: dict[int, tuple[str, str]] = {}
+    for loc, name in copies:
+        try:
+            extent = [(loc.local_offset, loc.size)]
+            datas[loc.server] = bytes(fs.backend.read_extents(loc.server, name, extent))
+        except ChecksumError as exc:
+            bad[loc.server] = ("checksum-mismatch", f"copy in {name!r}: {exc}")
+        except (DPFSError, OSError) as exc:
+            bad[loc.server] = ("unreadable-copy", f"copy in {name!r} unreadable: {exc}")
+    stale = {
+        loc.server
+        for loc, _ in copies
+        if (file_id, brick_id, loc.server) in fs.stale_copies
+    }
+    findings: list[ScrubFinding] = []
+    servers = [loc.server for loc, _ in copies]
+    fresh = [s for s in servers if s in datas and s not in stale]
+    if not fresh:
+        # no copy vouches for its bytes: those whose chunks fail are
+        # re-stamped from their bytes, if those agree
+        torn = {
+            loc.server: (name, [(loc.local_offset, loc.size)])
+            for loc, name in copies
+            if loc.server not in stale
+            and bad.get(loc.server, ("",))[0] == "checksum-mismatch"
+        }
+        raw: dict[int, bytes] = {}
+        for s, (name, extent) in torn.items():
+            with suppress(DPFSError, OSError):
+                raw[s] = bytes(fs.backend.read_extents(s, name, extent, verify=False))
+        agreed = len(raw) == len(torn) and len(set(raw.values())) == 1
+        for s, (name, extent) in torn.items():
+            if agreed and repair:
+                with suppress(DPFSError, OSError):
+                    fs.backend.write_extents(s, name, extent, raw[s])
+                    datas[s] = raw[s]
+                    del bad[s]
+                    fresh.append(s)
+            findings.append(
+                ScrubFinding(
+                    "stale-checksum" if agreed else "checksum-mismatch",
+                    path, brick_id, s,
+                    f"no copy verifies, and those that fail hold "
+                    f"{'the same' if agreed else 'different'} bytes "
+                    f"(this one in {name!r})",
+                    s in fresh,
+                )
+            )
+    if not fresh:
+        findings += [
+            ScrubFinding(
+                "stale-copy", path, brick_id, s,
+                "listed stale, and no fresh copy to rewrite it from",
+            )
+            for s in sorted(stale)
+        ]
+        return findings
+    # a strict majority's bytes win, else the lowest-index fresh copy's
+    value, votes = Counter(datas[s] for s in fresh).most_common(1)[0]
+    majority = [s for s in fresh if datas[s] == value]
+    winner = majority[0] if votes * 2 > len(fresh) else fresh[0]
+    good = datas[winner]
+    losers: set[tuple[int, int, int]] = set()
+    for loc, name in copies:
+        s = loc.server
+        if s == winner:
+            continue
+        if s in stale:
+            kind, detail = "stale-copy", f"copy in {name!r} is listed stale"
+        elif s in bad:
+            kind, detail = bad[s]
+        elif datas[s] != good:
+            kind, detail = (
+                "replica-divergence",
+                f"copy in {name!r} differs from the one on server {winner}",
+            )
+        else:
+            continue
+        unreadable = bad.get(s, ("",))[0] == "unreadable-copy"
+        ok = repair and repair_copy(
+            fs, file_id, bmap, rmap, brick_id, s, good, create=unreadable
+        )
+        if repair and not ok and not unreadable:
+            losers.add((file_id, brick_id, s))
+        findings.append(ScrubFinding(kind, path, brick_id, s, detail, ok))
+    fs._list_stale(losers - fs.stale_copies)
+    return findings
 
 
-def rewrite_copy(
+def brick_copies(
+    file_id: int, bmap: BrickMap, rmap: ReplicaMap | None, brick_id: int
+) -> list[tuple[BrickLocation, str]]:
+    """Every copy of a brick as ``(location, subfile name)``, primary
+    first."""
+    name, rname = subfile_names(file_id)
+    copies = [(bmap.location(brick_id), name)]
+    if rmap is not None:
+        copies += [(loc, rname) for loc in rmap.locations(brick_id)]
+    return copies
+
+
+def read_fresh_copy(
     fs: "DPFS",
     file_id: int,
+    bmap: BrickMap,
+    rmap: ReplicaMap | None,
+    brick_id: int,
+    *,
+    exclude: int,
+    offset: int = 0,
+    length: int | None = None,
+) -> bytes:
+    """``length`` bytes at ``offset`` of a brick (default: all) from the
+    first copy off server ``exclude``, not listed stale, that verifies;
+    else raises the last copy's error."""
+    error: Exception = ChecksumError(
+        f"file id {file_id} brick {brick_id}: no fresh copy to read"
+    )
+    for loc, name in brick_copies(file_id, bmap, rmap, brick_id):
+        if loc.server == exclude or (file_id, brick_id, loc.server) in fs.stale_copies:
+            continue
+        size = loc.size - offset if length is None else length
+        try:
+            return fs.backend.read_extents(
+                loc.server, name, [(loc.local_offset + offset, size)]
+            )
+        except ChecksumError as exc:
+            fs._note_checksum_error()
+            error = exc
+        except (DPFSError, OSError) as exc:
+            error = exc
+    raise error
+
+
+def repair_copy(
+    fs: "DPFS",
+    file_id: int,
+    bmap: BrickMap,
+    rmap: ReplicaMap | None,
     brick_id: int,
     server: int,
-    name: str,
-    off: int,
-    size: int,
-    good: bytes,
+    good: bytes | None = None,
     *,
     create: bool = False,
 ) -> bool:
-    """Overwrite one copy with verified bytes; True on success.
+    """Rewrite ``server``'s copy of a brick from fresh copies (``good``:
+    the brick's bytes, when the caller has them); True on success.
 
-    Success lifts the copy's quarantine, counts a repair and drops the
-    file's cached bricks; failure (the server may be down) leaves the
-    copy quarantined.  Read-repair and the scrubber both use it.
+    The rewrite covers whole chunks: bricks of the subfile that share a
+    chunk with it are rewritten too, each from a fresh copy, so the
+    server re-stamps fresh bytes only.  Success strikes the rewritten
+    copies off the stale list, counts a repair and drops the file's
+    cached bricks; failure (the server may be down) changes nothing.
     """
+    replica = bmap.server_of(brick_id) != server
+    name = subfile_names(file_id)[replica]
+    if replica:
+        assert rmap is not None
+        layout = [loc for b in rmap.bricklists[server] for loc in rmap.locations(b)]
+    else:
+        layout = [bmap.location(b) for b in bmap.bricklist(server)]
+    layout = [loc for loc in layout if loc.server == server]
+    target = next(loc for loc in layout if loc.brick_id == brick_id)
+    lo = target.local_offset // CHUNK_SIZE * CHUNK_SIZE
+    hi = -(-(target.local_offset + target.size) // CHUNK_SIZE) * CHUNK_SIZE
+    near = [
+        loc for loc in layout
+        if loc.local_offset < hi and lo < loc.local_offset + loc.size
+    ]
     try:
+        data = b"".join(
+            good if loc.brick_id == brick_id and good is not None
+            else read_fresh_copy(fs, file_id, bmap, rmap, loc.brick_id, exclude=server)
+            for loc in near
+        )
         if create and not fs.backend.subfile_exists(server, name):
             fs.backend.create_subfile(server, name)
-        fs.backend.write_extents(server, name, [(off, size)], good)
+        fs.backend.write_extents(
+            server, name, [(loc.local_offset, loc.size) for loc in near], data
+        )
     except (DPFSError, OSError):
         return False
-    fs.quarantine.discard((file_id, brick_id, server))
+    rewritten = {(file_id, loc.brick_id, server) for loc in near}
+    fs._list_stale(rewritten & fs.stale_copies, stale=False)
     fs._note_repair()
     if fs.cache is not None:
         fs.cache.invalidate_file(file_id)

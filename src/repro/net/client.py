@@ -35,9 +35,9 @@ import threading
 import time
 from typing import Any, Sequence
 
-from ..backends.base import BrickCrc, ServerInfo, StorageBackend
-from ..core.checksum import CRC_ALGORITHM
+from ..backends.base import ServerInfo, StorageBackend
 from ..errors import (
+    ChecksumError,
     ConnectionLost,
     FileSystemError,
     ProtocolError,
@@ -355,6 +355,8 @@ class ServerConnection:
                 message = reply.get("error", "unknown server error")
                 if kind == "FileNotFoundError":
                     raise FileSystemError(message)
+                if kind == "ChecksumError":
+                    raise ChecksumError(message)
                 if kind == "ServerBusy":
                     raise ServerBusyError(f"{kind}: {message}")
                 raise ServerError(f"{kind}: {message}")
@@ -390,9 +392,12 @@ class ServerConnection:
         reply, _ = self._call({"op": "size", "name": name})
         return int(reply["size"])
 
-    def read(self, name: str, extents: Sequence[Extent]) -> bytes:
+    def read(
+        self, name: str, extents: Sequence[Extent], *, verify: bool = True
+    ) -> bytes:
         _, data = self._call(
-            {"op": "read", "name": name, "extents": [list(e) for e in extents]}
+            {"op": "read", "name": name, "extents": [list(e) for e in extents],
+             "verify": verify}
         )
         expected = sum(ln for _o, ln in extents)
         if len(data) != expected:
@@ -406,23 +411,11 @@ class ServerConnection:
         name: str,
         extents: Sequence[Extent],
         data: bytes | bytearray | memoryview,
-        bricks: Sequence[Extent] = (),
-        crc_algo: str = CRC_ALGORITHM,
-    ) -> list[BrickCrc]:
-        header: dict[str, Any] = {
-            "op": "write", "name": name, "extents": [list(e) for e in extents]
-        }
-        if bricks:
-            header["bricks"] = [list(b) for b in bricks]
-            header["brick_algo"] = crc_algo
-        reply, _ = self._call(header, data)
-        crcs = [(crc, int(version)) for crc, version in reply.get("crcs", [])]
-        if len(crcs) != len(bricks):
-            raise ProtocolError(
-                f"server returned {len(crcs)} brick checksums for "
-                f"{len(bricks)} bricks"
-            )
-        return crcs
+    ) -> None:
+        self._call(
+            {"op": "write", "name": name, "extents": [list(e) for e in extents]},
+            data,
+        )
 
     def stats(self) -> dict[str, Any]:
         """Server-side observability: Prometheus text + recent span log."""
@@ -573,10 +566,10 @@ class RemoteBackend(StorageBackend):
         return self.connections[server].size(name)
 
     def read_extents(
-        self, server: int, name: str, extents: Sequence[Extent]
+        self, server: int, name: str, extents: Sequence[Extent], *, verify: bool = True
     ) -> bytes:
         self._check_server(server)
-        return self.connections[server].read(name, extents)
+        return self.connections[server].read(name, extents, verify=verify)
 
     def write_extents(
         self,
@@ -584,14 +577,10 @@ class RemoteBackend(StorageBackend):
         name: str,
         extents: Sequence[Extent],
         data: bytes | bytearray | memoryview,
-        bricks: Sequence[Extent] = (),
-        crc_algo: str = CRC_ALGORITHM,
-    ) -> list[BrickCrc]:
+    ) -> None:
         self._check_server(server)
         self._check_payload(extents, data)
-        return self.connections[server].write(
-            name, extents, data, bricks, crc_algo
-        )
+        self.connections[server].write(name, extents, data)
 
     def server_health(self, server: int) -> int:
         """Pool health (2=UP, 1=DEGRADED, 0=DOWN) — replicated reads use

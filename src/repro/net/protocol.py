@@ -16,11 +16,13 @@ Operations::
     delete          delete a subfile
     exists          does a subfile exist
     size            physical subfile size
-    read            extent-list read  → payload
-    write           extent-list write (payload attached); ``bricks``
-                    (``[[local_offset, size], ...]``) and ``brick_algo``
-                    ask the server to hash those bricks after applying
-                    it → ``crcs`` (``[[crc, version], ...]``)
+    read            extent-list read  → payload; the server checks every
+                    4 KiB chunk it covers against the subfile's sidecar
+                    and fails the request with ``kind: ChecksumError``
+                    on a mismatch (``"verify": false`` skips the check)
+    write           extent-list write (payload attached); the server
+                    re-stamps the sidecar entries of the chunks it
+                    touched
     rename          rename a subfile (``new_name`` field)
     list            names of every subfile on the server
     stats           server observability: Prometheus text + span log
@@ -114,23 +116,27 @@ def _send_all(sock: socket.socket, buffers: list) -> None:
             views.pop(0)
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    """Read exactly ``nbytes`` or raise on EOF."""
-    chunks: list[bytes] = []
-    remaining = nbytes
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
+def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
+    """Read exactly ``nbytes`` into one buffer, or raise on EOF.  The
+    buffer starts at 1 MiB at most and doubles only once the bytes fill
+    it, so a corrupt length prefix followed by EOF allocates little."""
+    buf = bytearray(min(nbytes, 1 << 20))
+    got = 0
+    while got < nbytes:
+        if got == len(buf):
+            buf += bytes(min(len(buf), nbytes - len(buf)))
+        n = sock.recv_into(memoryview(buf)[got:])
+        if not n:
             raise ProtocolError(
-                f"connection closed mid-message ({remaining} bytes missing)"
+                f"connection closed mid-message ({nbytes - got} bytes missing)"
             )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        got += n
+    return buf
 
 
 def recv_message(sock: socket.socket) -> tuple[dict[str, Any], bytes]:
-    """Receive one framed message; raises ProtocolError on malformed input."""
+    """Receive one framed message (the payload as the ``bytearray`` it
+    was received into); raises ProtocolError on malformed input."""
     prefix = _recv_exact(sock, _PREFIX.size)
     header_len, payload_len = _PREFIX.unpack(prefix)
     if header_len > MAX_HEADER:

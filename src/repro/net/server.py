@@ -5,9 +5,11 @@ local file system, and services client requests — "the server ... uses
 the local file system API to actually perform I/O".  Concurrency comes
 from a thread per connection (the paper's servers "spawn multiple
 processes or threads" per request); actual disk I/O is serialized by
-one lock, mirroring the sequential nature of the device.  A write
-hashes the bricks it touched under that lock and returns their
-``(crc, version)``, so clients never read a brick back to checksum it.
+one lock, mirroring the sequential nature of the device.  Under that
+lock a write re-stamps the checksum of each 4 KiB chunk it touched, in
+the subfile's sidecar, and a read verifies every chunk it covers
+(:mod:`repro.backends.chunks`), so integrity is checked where the
+bytes live and no checksum crosses the wire to metadata.
 
 Run standalone::
 
@@ -30,41 +32,20 @@ from collections import deque
 from pathlib import Path
 from typing import Any
 
-from ..backends.base import VersionClock
 from ..backends.local import (
     create_subfile,
     delete_subfile,
     escape_subfile_name,
+    list_subfiles,
     read_subfile,
+    rename_subfile,
     write_subfile,
 )
-from ..core.checksum import CRC_ALGORITHM
 from ..errors import ProtocolError
 from ..obs.registry import MetricsRegistry
-from ..util import Extent
-from .protocol import MAX_PAYLOAD, OPS, recv_message, send_message
+from .protocol import OPS, recv_message, send_message
 
 __all__ = ["DPFSServer"]
-
-
-def _parse_bricks(raw: Any) -> list[Extent]:
-    """The ``(local_offset, size)`` brick list of a write header.
-
-    Checked before the write is applied, so a rejected request leaves
-    the subfile untouched: bricks must not overlap, and each must be
-    non-empty and no larger than the wire's payload limit (the server
-    reads each whole brick back to hash it).
-    """
-    try:
-        bricks = [(int(off), int(size)) for off, size in raw]
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed brick list: {exc}") from None
-    end = 0
-    for off, size in sorted(bricks):
-        if off < end or not 0 < size <= MAX_PAYLOAD:
-            raise ProtocolError(f"invalid or overlapping brick ({off}, {size})")
-        end = off + size
-    return bricks
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -144,7 +125,6 @@ class DPFSServer:
         self.name = name or f"dpfs://{self.address[0]}:{self.address[1]}"
         self._thread: threading.Thread | None = None
         self._io_lock = threading.Lock()
-        self._clock = VersionClock()
         self.requests_served = 0
         self.requests_rejected = 0
         #: server-side observability: every op is counted and timed in
@@ -303,14 +283,7 @@ class DPFSServer:
                 b"",
             )
         if op == "list":
-            from ..backends.local import unescape_subfile_name
-
-            names = sorted(
-                unescape_subfile_name(p.name)
-                for p in self.root.iterdir()
-                if p.is_file()
-            )
-            return {"ok": True, "names": names}, b""
+            return {"ok": True, "names": list_subfiles(self.root)}, b""
         name = header.get("name")
         if not isinstance(name, str) or not name:
             raise ProtocolError("missing subfile name")
@@ -330,27 +303,27 @@ class DPFSServer:
             new_name = header.get("new_name")
             if not isinstance(new_name, str) or not new_name:
                 raise ProtocolError("rename needs new_name")
-            os.replace(path, self._path(new_name))
+            rename_subfile(path, self._path(new_name))
             return {"ok": True}, b""
         if op == "size":
             return {"ok": True, "size": os.stat(path).st_size}, b""
-        extents = [
-            (int(off), int(ln)) for off, ln in header.get("extents", [])
-        ]
+        try:
+            extents = [(int(off), int(ln)) for off, ln in header.get("extents", [])]
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed extent list: {exc}") from None
         for off, ln in extents:
             if off < 0 or ln < 0:
                 raise ProtocolError(f"invalid extent ({off}, {ln})")
         if op == "read":
+            verify = bool(header.get("verify", True))
             with self._io_lock:
-                return {"ok": True}, read_subfile(path, extents)
+                return {"ok": True}, read_subfile(path, name, extents, verify=verify)
         # write
         total = sum(ln for _o, ln in extents)
         if total != len(payload):
             raise ProtocolError(
                 f"extents cover {total} bytes but payload is {len(payload)}"
             )
-        bricks = _parse_bricks(header.get("bricks", []))
-        algo = str(header.get("brick_algo", CRC_ALGORITHM))
         with self._io_lock:
-            crcs = write_subfile(path, extents, payload, bricks, algo, self._clock)
-        return {"ok": True, "crcs": crcs}, b""
+            write_subfile(path, name, extents, payload)
+        return {"ok": True}, b""

@@ -1,15 +1,31 @@
-"""Rewrite a local root into the layout the build before file ids wrote.
+"""Rewrite a local root into the layouts older builds wrote.
 
-That build keyed ``dpfs_file_attr`` by file name, keyed bricklist rows
-by ``"<server>|<path>"``, named every subfile by its DPFS path (a
-replica subfile by the path plus ``//r``), and kept a write-ahead
-journal with roll-back columns.  :func:`make_legacy` takes a root the
-current build wrote and puts it in exactly that shape, so tests can
-mount what an upgrade finds.
+The build before checksum sidecars kept one checksum per brick in each
+file's geometry (``brick_crcs``, ``None`` for a brick never written,
+with ``brick_crc_versions`` and the ``crc_algo`` they were computed
+under), and no sidecar next to any subfile.  :func:`make_pre_sidecar`
+puts a root the current build wrote in that shape, optionally with one
+stored byte flipped after its checksum was taken.
+
+The build before file ids also keyed ``dpfs_file_attr`` by file name,
+keyed bricklist rows by ``"<server>|<path>"``, named every subfile by
+its DPFS path (a replica subfile by the path plus ``//r``), and kept a
+write-ahead journal with roll-back columns.  :func:`make_legacy` puts a
+root in exactly that shape, so tests can mount what an upgrade finds.
 """
 
-from repro.backends.local import LocalBackend
+import os
+from contextlib import suppress
+
+from repro.backends.local import (
+    SIDECAR_SUFFIX,
+    XATTR,
+    LocalBackend,
+    escape_subfile_name,
+)
+from repro.core import DPFS
 from repro.core.brick import subfile_names
+from repro.core.checksum import CRC_ALGORITHM, checksum
 from repro.metadb import Database
 
 LEGACY_DDL = (
@@ -52,8 +68,65 @@ _ATTR = (
 _TABLES = ("dpfs_file_distribution", "dpfs_file_replica")
 
 
+def make_pre_sidecar(root, n_servers: int, flip=None) -> None:
+    """Rewrite the closed root ``root`` as the build before checksum
+    sidecars left it.  ``flip=(path, brick_id, copy)`` then flips one
+    byte in the middle of that copy (0: the primary) of that brick."""
+    geometries = {}
+    with DPFS.local(root, n_servers) as fs:
+        for path in fs.meta.iter_files():
+            record, bmap = fs.meta.load_file(path)
+            name = subfile_names(record.file_id)[0]
+            crcs = []
+            for brick_id in range(len(bmap)):
+                loc = bmap.location(brick_id)
+                data = fs.backend.read_extents(
+                    loc.server, name, [(loc.local_offset, loc.size)]
+                )
+                crcs.append(checksum(data) if record.written[brick_id] else None)
+            geometry = fs.stat(path)["geometry"]
+            del geometry["written"]
+            geometry.update(
+                brick_crcs=crcs,
+                brick_crc_versions=[None] * len(crcs),
+                crc_algo=CRC_ALGORITHM,
+            )
+            geometries[path] = geometry
+        if flip is not None:
+            path, brick_id, copy = flip
+            record, bmap = fs.meta.load_file(path)
+            loc = bmap.location(brick_id)
+            if copy:
+                loc = fs.meta.load_replica_map(record).locations(brick_id)[copy - 1]
+            name = subfile_names(record.file_id)[1 if copy else 0]
+            subfile = root / f"server_{loc.server}" / escape_subfile_name(name)
+            with open(subfile, "r+b") as fh:
+                fh.seek(loc.local_offset + loc.size // 2)
+                byte = fh.read(1)[0]
+                fh.seek(-1, os.SEEK_CUR)
+                fh.write(bytes([byte ^ 0xFF]))
+    db = Database(root / "dpfs.meta")
+    for path, geometry in geometries.items():
+        db.execute(
+            "UPDATE dpfs_file_attr SET geometry = ? WHERE filename = ?",
+            [geometry, path],
+        )
+    db.execute("DROP TABLE dpfs_stale_copy")
+    db.close()
+    for server in range(n_servers):
+        directory = root / f"server_{server}"
+        for entry in os.listdir(directory):
+            if entry.endswith(SIDECAR_SUFFIX):
+                os.unlink(directory / entry)
+            else:
+                with suppress(OSError):  # no attribute: a sidecar file or none
+                    os.removexattr(directory / entry, XATTR)
+
+
 def make_legacy(root, n_servers: int) -> None:
-    """Rewrite the closed root ``root`` into the path-keyed layout."""
+    """Rewrite the closed root ``root`` into the path-keyed layout, which
+    predates checksum sidecars too."""
+    make_pre_sidecar(root, n_servers)
     db = Database(root / "dpfs.meta")
     db.execute("PRAGMA foreign_keys=OFF")
     attrs = db.execute(f"SELECT file_id, {_ATTR} FROM dpfs_file_attr").rows

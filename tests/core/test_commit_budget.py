@@ -3,8 +3,9 @@
 A durable commit is an explicit COMMIT, or a row-changing statement
 that runs outside a transaction and so commits on its own; on a file
 database each one is a WAL fsync.  Budgets: create 1 (+1 for the
-write's checksum transaction), remove 2, rename 1, grow 1, refill 2;
-a read commits nothing.
+``written`` mark of its first write), remove 2, rename 1, grow 1 (+1
+for the mark), refill 2; a read, and a write to bricks already
+written, commit nothing.
 
 Statements (BEGIN and COMMIT included) of a one-brick file on four
 servers: create + 4 KiB write 11, rename 4, remove 8, open 3.
@@ -56,7 +57,7 @@ def commits(fs, fn, *args):
     return fs.db.commits - before
 
 
-def test_create_commits_once_plus_the_writes_checksum_txn(fs):
+def test_create_commits_once_plus_the_first_write_mark(fs):
     hint = Hint.linear(file_size=len(DATA), brick_size=BRICK)
     assert commits(fs, lambda: fs.open("/d/g", "w", hint=hint).close()) == 1
     assert commits(fs, fs.write_file, "/d/h", DATA, hint) == 2
@@ -71,10 +72,11 @@ def test_rename_commits_once(fs):
 
 
 def test_grow_commits_once(fs):
-    """A growing write costs grow's one transaction plus the checksum
-    transaction every write makes."""
+    """A growing write costs grow's one transaction plus the mark of
+    the new brick's first write; a write to written bricks commits
+    nothing."""
     with fs.open("/d/f", "r+") as handle:
-        assert commits(fs, handle.write, 0, DATA[:BRICK]) == 1
+        assert commits(fs, handle.write, 0, DATA[:BRICK]) == 0
         assert commits(fs, handle.write, len(DATA), DATA[:BRICK]) == 2
 
 

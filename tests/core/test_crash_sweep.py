@@ -19,9 +19,12 @@ every pending intent forward) plus one ``fsck --repair`` must leave:
 
 A create that dies after its commit leaves a file whose subfiles are
 missing; no byte of it was written, so fsck recreates them empty.
-Writes are not journalled: a crash between a write's data landing and
-its checksum commit leaves stale checksums, which scrub must report
-as ``stale-checksum`` and repair before the checks above.
+Writes are not journalled.  A crash between a write's data landing on
+every copy and the ``written`` mark of its first write leaves the mark
+unset, which nothing needs to repair.  A crash between a write's bytes
+and its chunk checksums on one server (a torn pair) leaves a copy whose
+chunk fails its checksum: scrub must report it as ``checksum-mismatch``
+and rewrite it from the other copy before the checks above.
 
 ``io_workers=1`` forces inline sequential dispatch so "crash after the
 first server's work" (the ``mid_*`` points) is deterministic.
@@ -42,6 +45,7 @@ from repro.core.crashpoints import (
     registered,
 )
 from repro.core.fsck import usage_oracle
+from repro.errors import ChecksumError
 from repro.metadb import Database
 
 BRICK = 512
@@ -149,8 +153,9 @@ def _check_grow_out(fs, ctx):
 
 
 def _setup_write(fs):
+    # only brick 0 written, so the crashing write is brick 1's first
     fs.makedirs("/d")
-    fs.write_file("/d/f", DATA, lhint(len(DATA), replicas=2))
+    fs.write_file("/d/f", DATA[:BRICK], lhint(len(DATA), replicas=2))
     return {"patch": b"W" * BRICK}
 
 
@@ -160,10 +165,22 @@ def _crash_write(fs, ctx):
     handle.write(BRICK // 2, ctx["patch"])
 
 
+def _written_contents(ctx):
+    old = DATA[:BRICK] + bytes(len(DATA) - BRICK)
+    new = bytearray(old)
+    new[BRICK // 2 : BRICK // 2 + BRICK] = ctx["patch"]
+    return old, bytes(new)
+
+
 def _check_write(fs, ctx):
-    expected = bytearray(DATA)
-    expected[BRICK // 2 : BRICK // 2 + BRICK] = ctx["patch"]
-    assert fs.read_file("/d/f") == bytes(expected)
+    # the bytes reached every copy before the crash
+    assert fs.read_file("/d/f") == _written_contents(ctx)[1]
+
+
+def _check_torn_write(fs, ctx):
+    # the primary took the bytes but not their checksums, the replica
+    # never got the write: scrub rewrote the torn copy from the replica
+    assert fs.read_file("/d/f") == _written_contents(ctx)[0]
 
 
 def _setup_refill(fs):
@@ -196,12 +213,13 @@ OPS = {
     "grow_out": (_setup_grow_out, _crash_grow, _check_grow_out),
     "refill": (_setup_refill, _crash_refill, _check_refill),
     "write": (_setup_write, _crash_write, _check_write),
+    "torn_write": (_setup_write, _crash_write, _check_torn_write),
 }
 
-#: points after which the data is on the servers but the checksums the
-#: servers returned never reached metadata; data writes have no intent,
-#: so recovery leaves them and scrub must report and repair them
-STALE_CHECKSUM_POINTS = {"handle.write.before_crc_commit"}
+#: points after which a server holds a write's bytes but not their
+#: chunk checksums; data writes have no intent, so recovery leaves the
+#: torn copy and scrub must report and repair it
+TORN_POINTS = {"backend.write.before_sidecar"}
 
 SWEEP = [
     ("create", "filesystem.create.in_commit"),
@@ -217,7 +235,8 @@ SWEEP = [
     ("refill", "filesystem.refill.after_intent"),
     ("refill", "filesystem.refill.mid_copy"),
     ("refill", "filesystem.refill.after_copy"),
-    ("write", "handle.write.before_crc_commit"),
+    ("write", "handle.write.before_written_mark"),
+    ("torn_write", "backend.write.before_sidecar"),
 ]
 
 
@@ -245,10 +264,10 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
     assert fs2.last_recovery is not None
     assert fs2.last_recovery.clean, str(fs2.last_recovery)
     assert fs2.intents.pending() == []
-    if point in STALE_CHECKSUM_POINTS:
+    if point in TORN_POINTS:
         sreport = scrub(fs2)
         assert sreport.findings, str(sreport)
-        assert {f.kind for f in sreport.findings} == {"stale-checksum"}
+        assert {f.kind for f in sreport.findings} == {"checksum-mismatch"}
         assert not scrub(fs2, repair=True).unrepaired
     repaired = fsck(fs2, repair=True)
     assert all(f.repaired for f in repaired.findings), str(repaired)
@@ -264,6 +283,31 @@ def test_crash_then_recover_leaves_consistent_state(op, point):
     for path in fs2.meta.iter_files():
         fs2.remove(path)
     assert [backend.list_subfiles(s) for s in range(4)] == [[]] * 4
+
+
+def test_torn_single_copy_is_restamped_and_reported():
+    """With no other copy to vouch for it, a torn chunk is re-stamped
+    from the bytes it holds (the write's), and reported."""
+    db = Database()
+    backend = MemoryBackend(4)
+    fs = _mount(backend, db, auto_recover=False)
+    fs.write_file("/f", DATA, lhint(len(DATA)))
+    arm("backend.write.before_sidecar")
+    try:
+        with pytest.raises(SimulatedCrash):
+            fs.open("/f", "r+").write(BRICK // 2, b"W" * 10)
+    finally:
+        disarm()
+    fs2 = _mount(backend, db)
+    with pytest.raises(ChecksumError):
+        fs2.read_file("/f")
+    (finding,) = scrub(fs2).findings
+    assert finding.kind == "stale-checksum" and not finding.repaired
+    assert scrub(fs2, repair=True).findings[0].repaired
+    assert scrub(fs2).clean and fsck(fs2).clean
+    expected = bytearray(DATA)
+    expected[BRICK // 2 : BRICK // 2 + 10] = b"W" * 10
+    assert fs2.read_file("/f") == bytes(expected)
 
 
 def test_commit_step_mark_is_atomic_with_the_commit():

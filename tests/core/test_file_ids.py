@@ -73,13 +73,13 @@ def test_handle_opened_before_rename_keeps_reading_and_writing():
         fs.rename("/d/f", "/d/g")
         assert handle.read(0, len(data)) == data
         patch = b"P" * BRICK
-        handle.write(BRICK, patch)          # a whole brick: its checksum commits
-        handle.write(len(data), patch)      # grows the file
+        handle.write(BRICK, patch)          # a whole brick
+        handle.write(len(data), patch)      # grows the file: a first write
         expected = data[:BRICK] + patch + data[2 * BRICK :] + patch
         assert handle.read(0, len(expected)) == expected
     record, _ = fs.meta.load_file("/d/g")
     assert record.size == len(expected)
-    assert record.brick_crcs[1] is not None
+    assert record.written[-1]  # marked through the id, after the rename
     assert fs.read_file("/d/g") == expected
     assert fsck(fs).clean
 

@@ -214,3 +214,21 @@ def test_rename_tolerates_missing_replica_subfiles():
     assert fs.read_file("/moved") == data
     assert fs.intents.pending() == []
     assert fsck(fs).clean
+
+
+def test_pending_gauge_follows_begin_and_retire():
+    from repro.obs import MetricsRegistry
+
+    db = Database()
+    registry = MetricsRegistry()
+    log = IntentLog(db, registry)
+    gauge = registry.gauge("dpfs_intents_pending")
+    first = log.begin("remove", {"path": "/a"})
+    log.begin("remove", {"path": "/b"})
+    assert gauge.value() == 2
+    log.retire(first)
+    log.retire(first)  # idempotent: counted once
+    assert gauge.value() == 1
+    reopened = MetricsRegistry()
+    IntentLog(db, reopened)
+    assert reopened.gauge("dpfs_intents_pending").value() == 1

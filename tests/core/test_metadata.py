@@ -90,6 +90,7 @@ def test_schema_created(meta):
         "dpfs_file_distribution",
         "dpfs_file_replica",
         "dpfs_server",
+        "dpfs_stale_copy",
     ]
 
 

@@ -10,6 +10,8 @@ from repro.core.brick import ReplicaMap, file_id_of, subfile_names
 from repro.core.placement import Greedy, RoundRobin, build_replicated_maps
 from repro.errors import ChecksumError, InvalidHint, PlacementError
 
+from ..rot import rot
+
 BRICK = 4 * 1024
 
 
@@ -27,7 +29,7 @@ def payload(n):
 
 
 def corrupt_copy(fs, path, brick_id, copy):
-    """Garble one stored copy of a brick directly on the backend."""
+    """Garble one stored copy of a brick behind its server's back."""
     record, bmap = fs.meta.load_file(path)
     name, rname = subfile_names(record.file_id)
     if copy == 0:
@@ -36,9 +38,7 @@ def corrupt_copy(fs, path, brick_id, copy):
         rmap = fs.meta.load_replica_map(record)
         loc = rmap.locations(brick_id)[copy - 1]
         name = rname
-    fs.backend.write_extents(
-        loc.server, name, [(loc.local_offset, loc.size)], b"\xde" * loc.size
-    )
+    rot(fs.backend, loc.server, name, loc.local_offset, b"\xde" * loc.size)
     return loc.server
 
 
@@ -93,7 +93,7 @@ def test_create_replicated_file_layout():
         locs = rmap.locations(brick_id)
         assert len(locs) == 1
         assert locs[0].server != bmap.location(brick_id).server
-    assert all(crc is not None for crc in record.brick_crcs)
+    assert all(record.written)
     assert fs.read_file("/f") == data
 
 
@@ -138,7 +138,7 @@ def test_read_survives_corrupt_primary_and_repairs_it():
     assert m.counter("dpfs_read_failovers_total").by_label("reason")["checksum"] >= 1
     assert m.counter("dpfs_repairs_total").total() >= 1
     # inline read-repair rewrote the primary: clean reads from now on
-    assert (fs.meta.load_file("/f")[0].file_id, 1, server) not in fs.quarantine
+    assert (fs.meta.load_file("/f")[0].file_id, 1, server) not in fs.stale_copies
     assert fs.read_file("/f") == data
     from repro.core import scrub
 
@@ -282,13 +282,10 @@ def _concurrent_partial_writers(fs, path):
 
 def test_concurrent_partial_writers_keep_checksums_fresh(tmp_path):
     """Disjoint-extent writers sharing bricks (2 KiB segments in 4 KiB
-    bricks) must leave CRCs matching the merged bytes, over memory and
-    over TCP, 20 rounds each.  Each server hashes a brick under the lock
-    that serialises its writes and stamps the hash with a version; the
-    metadata keeps a brick's CRC unless the stored one came from the
-    same server with a newer version, so the last hash — the one that
-    saw every writer's bytes — wins whatever order the writers'
-    metadata commits arrive in."""
+    bricks) must leave chunk checksums matching the merged bytes, over
+    memory and over TCP, 20 rounds each.  Each server re-stamps a chunk
+    under the lock that serialises its writes, from the bytes every
+    write so far left in it, so the writers' order does not matter."""
     import sys
 
     from repro.core import scrub
@@ -326,7 +323,7 @@ def test_partial_brick_write_keeps_checksums_fresh():
     assert fs.read_file("/f") == bytes(expected)
     from repro.core import scrub
 
-    assert scrub(fs).clean  # stored crcs match the merged contents
+    assert scrub(fs).clean  # chunk checksums match the merged contents
 
 
 # -- growth / namespace ops --------------------------------------------------
@@ -365,14 +362,17 @@ def test_rename_moves_replica_subfiles():
 
 
 def test_remove_deletes_replica_subfiles_and_quarantine():
+    """Remove drops the file's listed stale copies, in memory and in
+    metadata (the quarantine of an older build)."""
     fs, _ = make_fs(3)
     data = payload(2 * BRICK)
     fs.write_file("/f", data, rhint(len(data), replicas=2))
-    fs.quarantine.add((fs.meta.load_file("/f")[0].file_id, 0, 1))
+    fs._list_stale({(fs.meta.load_file("/f")[0].file_id, 0, 1)})
     fs.remove("/f")
     for server in range(3):
         assert fs.backend.list_subfiles(server) == []
-    assert not fs.quarantine
+    assert not fs.stale_copies
+    assert fs.meta.stale_copies() == set()
 
 
 def test_three_copies_survive_double_corruption():

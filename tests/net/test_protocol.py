@@ -191,3 +191,38 @@ def test_partial_sendmsg_delivers_frame_byte_exact(pair, kind):
     header, payload = recv_message(b)
     assert header["op"] == "write"
     assert payload == blob
+
+
+@pytest.mark.parametrize("size", [0, 4096, 8 << 20])
+def test_payload_received_into_one_buffer(pair, size):
+    """0 B, 4 KiB and 8 MiB payloads arrive byte-exact, each in the one
+    ``bytearray`` it was received into."""
+    a, b = pair
+    blob = bytes(range(256)) * (size // 256)
+    sender = threading.Thread(target=send_message, args=(a, {"op": "read"}, blob))
+    sender.start()
+    _header, payload = recv_message(b)
+    sender.join()
+    assert payload == blob
+    assert isinstance(payload, bytearray) or size == 0
+
+
+def test_declared_max_payload_then_eof_allocates_little(pair):
+    """A prefix declaring the largest payload, then EOF: ProtocolError,
+    and the receive buffer never grew past its first megabyte."""
+    import tracemalloc
+
+    from repro.net.protocol import MAX_PAYLOAD
+
+    a, b = pair
+    header = b'{"op":"read"}'
+    a.sendall(struct.pack("!II", len(header), MAX_PAYLOAD) + header + b"x" * 100)
+    a.shutdown(socket.SHUT_WR)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="closed mid-message"):
+            recv_message(b)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
