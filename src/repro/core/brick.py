@@ -31,8 +31,9 @@ def subfile_names(file_id: int) -> tuple[str, str]:
     """The names of a file's primary and replica subfiles on a server.
 
     A subfile is named by its file's id, which is allocated when the
-    file is created and never reused: a rename touches no server, and a
-    subfile outliving its file can never pass for a later file's.
+    file is created and never reused once committed: a rename touches no
+    server, and a subfile outliving its file can never pass for a later
+    file's.
     """
     return str(file_id), f"{file_id}.r"
 

@@ -90,13 +90,14 @@ def _pin_malloc_thresholds() -> None:
 # fan-out, after one server's work, so they model a crash with the
 # mutation half-applied across the cluster.  The ``in_commit`` points
 # sit inside the commit transaction: a crash there means the
-# transaction never became durable, so the operation never happened.
+# transaction never became durable, so the operation never happened
+# (create makes its subfiles inside it, so its ``mid_subfiles`` is one
+# such point too).
 # A boundary with no durable change between it and its neighbour (or
 # the operation's start or end) has no point: a crash there leaves the
 # same state as one at the neighbour.
-CP_CREATE_IN_COMMIT = register("filesystem.create.in_commit")
-CP_CREATE_AFTER_COMMIT = register("filesystem.create.after_commit")
 CP_CREATE_MID_SUBFILES = register("filesystem.create.mid_subfiles")
+CP_CREATE_IN_COMMIT = register("filesystem.create.in_commit")
 CP_REMOVE_IN_COMMIT = register("filesystem.remove.in_commit")
 CP_REMOVE_AFTER_METADATA = register("filesystem.remove.after_metadata")
 CP_REMOVE_MID_SUBFILES = register("filesystem.remove.mid_subfiles")
@@ -380,8 +381,8 @@ class DPFS:
         A copy failing its old checksum is listed stale and logged; one
         with none is taken as it is (a file from before checksums) and
         left alone if all zeros (never written).  One transaction per
-        file then swaps its checksums for ``written`` flags, so a crash
-        or a DOWN server leaves the rest to the next mount.
+        file then drops its checksums, so a crash or a DOWN server
+        leaves the rest to the next mount.
         """
         failures: list[tuple[int, Exception]] = []
         for file_id, geometry in self.meta.legacy_checksums():
@@ -419,7 +420,7 @@ class DPFS:
             except (DPFSError, OSError) as exc:
                 failures.append((key[0], exc))
                 continue
-            self.meta.legacy_checksums_done(file_id, written, stale)
+            self.meta.legacy_checksums_done(file_id, stale)
             self.stale_copies |= stale
         self._g_stale.set(len(self.stale_copies))
         if failures:
@@ -697,6 +698,26 @@ class DPFS:
     def _create(
         self, norm: str, hint: Hint
     ) -> tuple[FileRecord, BrickMap, ReplicaMap | None]:
+        record, brick_map, replica_map = self._plan_create(norm, hint)
+        # commit point: ONE transaction.  The insert allocates the id,
+        # its constraints refuse a taken name or a missing directory and
+        # the usage charge a server without room, all before any subfile
+        # exists; then the subfiles are made on the row servers, so a
+        # committed file always has them.  A failure or crash before the
+        # COMMIT rolls the rows back and leaves at most empty subfiles no
+        # row names: fsck's orphan pass deletes them, or the next create,
+        # handed the same id, takes them as its own.
+        with self.db.transaction():
+            self.meta.create_file(record, brick_map, self._server_names, replica_map)
+            holders = Holders.of(brick_map, replica_map)
+            self._redo_create_subfiles(record.file_id, *holders)
+            crashpoint(CP_CREATE_IN_COMMIT)
+        return record, brick_map, replica_map
+
+    def _plan_create(
+        self, norm: str, hint: Hint
+    ) -> tuple[FileRecord, BrickMap, ReplicaMap | None]:
+        """The record and brick placement of a new file (no I/O)."""
         hint = hint.validate()
         if hint.replicas > self.backend.n_servers:
             raise InvalidHint(
@@ -717,7 +738,6 @@ class DPFS:
         else:
             for size in sizes:
                 brick_map.append(policy.assign_next(), size)
-        self._check_capacity(brick_map, replica_map)
         record = FileRecord(
             path=norm,
             owner=self.owner,
@@ -735,35 +755,7 @@ class DPFS:
             brick_sizes=list(sizes),
             replicas=hint.replicas,
         )
-        # commit point: the insert allocates the file's id, and its
-        # constraints refuse a taken name or a missing directory before
-        # any subfile exists.  The subfiles come after: a crash between
-        # leaves a file no byte was written to, whose missing subfiles
-        # fsck --repair recreates empty.
-        with self.db.transaction():
-            self.meta.create_file(record, brick_map, self._server_names, replica_map)
-            crashpoint(CP_CREATE_IN_COMMIT)
-        crashpoint(CP_CREATE_AFTER_COMMIT)
-        self._redo_create_subfiles(record.file_id, *Holders.of(brick_map, replica_map))
         return record, brick_map, replica_map
-
-    def _check_capacity(
-        self, brick_map: BrickMap, replica_map: ReplicaMap | None = None
-    ) -> None:
-        """Reject creations that would exceed a server's capacity (the
-        DPFS-SERVER ``capacity`` attribute tells clients how much space
-        each node can still take, §5).  Replica copies count in full."""
-        usage = self.meta.server_usage()
-        for info, server in zip(self.backend.servers, range(self.backend.n_servers)):
-            needed = brick_map.subfile_size(server)
-            if replica_map is not None:
-                needed += replica_map.subfile_size(server)
-            used = usage.get(server, 0)
-            if needed and used + needed > info.capacity:
-                raise FileSystemError(
-                    f"server {server} ({info.name}) lacks capacity: "
-                    f"{used + needed} > {info.capacity} bytes"
-                )
 
     # -- internal hooks used by FileHandle ------------------------------------
     def _grow_file(self, handle: FileHandle, new_size: int) -> None:
@@ -840,7 +832,6 @@ class DPFS:
             raise
         handle.brick_map, handle.replica_map = brick_map, replica_map
         record.brick_sizes = brick_sizes
-        record.pad_written()
         record.size = new_size
 
     # -- convenience -----------------------------------------------------------

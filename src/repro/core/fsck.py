@@ -11,21 +11,20 @@ repairs) drift between them:
                        crashed client never finished (repair: run the
                        recovery engine, which rolls it forward)
 ``missing-subfile``    a bricklist references a server where the subfile
-                       does not exist, and no brick it held was written
-                       or each written one has another copy (repair:
-                       recreate empty; unwritten bricks read as zeros,
-                       and written ones are listed stale, so the deep
-                       pass rewrites them from their other copy)
-``lost-subfile``       as ``missing-subfile``, but a brick it held was
-                       written (its ``written`` flag is set) and has no
+                       does not exist, and every brick it held has
+                       another copy (repair: recreate it empty and list
+                       its bricks stale there, so the deep pass rewrites
+                       them from their other copy)
+``lost-subfile``       as ``missing-subfile``, but a brick it held has no
                        other copy: its bytes are gone (unrepairable:
                        reported, and reads keep failing rather than
                        return zeros)
 ``missing-replica``    a replica bricklist references a server where the
                        replica subfile does not exist (repair: recreate
                        and refill every replica brick from its primary)
-``orphan-subfile``     a server holds a subfile but no row of its file
-                       (repair: delete)
+``orphan-subfile``     a server holds a subfile but no row of its file,
+                       looked up again under the write lock so that no
+                       create in flight owns it (repair: delete)
 ``bad-brick-map``      a file's distribution rows are not a permutation of
                        its bricks (unrepairable: reported only)
 ``usage-drift``        a server's ``used`` counter in ``dpfs_server``
@@ -211,30 +210,26 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
             bricks = bmap.bricklist(server)
             if not bricks or backend.subfile_exists(server, name):
                 continue
-            # a written brick held data; without another copy to
-            # rewrite it from, an empty subfile would turn it into zeros
-            # no read could tell from the real bytes
-            lost = [
-                b for b in bricks
-                if record.written[b] and (rmap is None or not rmap.servers_of(b))
-            ]
+            # a committed file's subfiles all exist, so its bricks held
+            # bytes; without another copy to rewrite one from, an empty
+            # subfile would turn it into zeros no read could tell from
+            # the real bytes
+            lost = [b for b in bricks if rmap is None or not rmap.servers_of(b)]
             if lost:
                 report.findings.append(
                     Finding(
                         "lost-subfile",
                         path,
-                        f"server {server} lost the subfile holding written "
-                        f"brick(s) {lost}, which have no other copy",
+                        f"server {server} lost the subfile holding brick(s) "
+                        f"{lost}, which have no other copy",
                     )
                 )
                 continue
             if repair:
                 backend.create_subfile(server, name)
-                # its written bricks now read as zeros that verify: list
-                # them stale, so the deep pass rewrites them
-                fs._list_stale(
-                    {(file_id, b, server) for b in bricks if record.written[b]}
-                )
+                # its bricks now read as zeros that verify: list them
+                # stale, so the deep pass rewrites them
+                fs._list_stale({(file_id, b, server) for b in bricks})
             report.findings.append(
                 Finding(
                     "missing-subfile",
@@ -305,22 +300,27 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
     for server in range(backend.n_servers):
         for name in backend.list_subfiles(server):
             file_id = file_id_of(name)
-            if file_id is not None:
-                # a file created since pass 1 commits its rows before it
-                # makes its subfiles: look again before calling one orphan
-                holders = known.get(file_id) or meta.holders(file_id)
-                if _belongs(holders, server, name, file_id):
+            if file_id in known and _belongs(known[file_id], server, name, file_id):
+                continue
+            # A create makes its subfiles after its INSERT and before its
+            # COMMIT, holding the write lock throughout, and a grow
+            # commits a row before it makes a subfile there.  So look
+            # again under the write lock: a subfile still without a row
+            # belongs to no create in flight, and none can claim its id
+            # before it is deleted.
+            with meta.db.transaction():
+                if file_id is not None and _belongs(
+                    meta.holders(file_id), server, name, file_id
+                ):
                     continue
-            repaired = False
-            if repair:
-                backend.delete_subfile(server, name)
-                repaired = True
+                if repair:
+                    backend.delete_subfile(server, name)
             report.findings.append(
                 Finding(
                     "orphan-subfile",
                     name,
                     f"server {server} holds a subfile but no row of its file",
-                    repaired,
+                    repair,
                 )
             )
     return report

@@ -45,7 +45,6 @@ from ..util import Extent
 from .brick import BrickLocation, BrickMap, BrickSlice, ReplicaMap, subfile_names
 from .checksum import checksum_fn  # noqa: F401 - perfbench's ledger wraps it here
 from .combine import ServerRequest, SlicePlacement, plan_requests
-from .crashpoints import crashpoint, register
 from .metadata import FileRecord
 from .scrub import brick_copies, read_fresh_copy, repair_copy
 from .striping import FileLevel, LinearStriping, StripingMethod
@@ -54,11 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .filesystem import DPFS
 
 __all__ = ["FileHandle", "IOStats"]
-
-#: after a write's data landed on the servers, before the first write
-#: of a brick sets its ``written`` flag: a crash here leaves written
-#: bytes that fsck's lost-subfile rule takes for an unwritten brick
-CP_WRITE_BEFORE_WRITTEN_MARK = register("handle.write.before_written_mark")
 
 
 @dataclass
@@ -719,13 +713,6 @@ class FileHandle:
                 for brick_id in req.brick_ids
             })
             self.fs._note_degraded_write()
-        flags = self.record.written
-        first = sorted({s.brick_id for s in slices if not flags[s.brick_id]})
-        if first:
-            crashpoint(CP_WRITE_BEFORE_WRITTEN_MARK)
-            self.fs.meta.mark_written(self._id, first)
-            for brick_id in first:
-                flags[brick_id] = 1
         cache = self.fs.cache
         if cache is not None:
             # write-through coherence: patch any cached image in place

@@ -12,16 +12,16 @@ accounts for, or a replica subfile half full.
 Each of the two records an **intent** in the ``dpfs_intent`` metadata
 table no later than its first side effect (remove inside its commit
 transaction, refill before it copies) and retires it when done.  Their
-work is idempotent and addressed by a file id that is never reused, so
-recovery (:func:`recover`) has one rule: *re-run every pending intent,
-then retire it*.  Nothing is ever rolled back, and sweeping the intent
+work is idempotent and addressed by a file id never reused once
+committed, so recovery (:func:`recover`) has one rule: *re-run every
+pending intent, then retire it*.  Nothing is ever rolled back, and sweeping the intent
 of a mount that is still alive is harmless: the deletes and copies it
 repeats are ones that mount makes too.
 
-The other mutations journal nothing.  Create commits its row and then
-makes the subfiles, so a crash leaves a file no byte was written to,
-whose missing subfiles ``dpfs fsck --repair`` recreates empty.  Rename
-is one UPDATE, and grow one transaction after its subfiles exist.
+The other mutations journal nothing.  Create makes its subfiles inside
+its one transaction, so a crash leaves no file, only empty subfiles no
+row names, which ``dpfs fsck --repair`` deletes.  Rename is one
+UPDATE, and grow one transaction after its subfiles exist.
 
 Recovery runs automatically when a :class:`~repro.core.filesystem.DPFS`
 instance is constructed (``auto_recover=True``, the default) and on

@@ -12,7 +12,8 @@ paper's names become underscores — SQL identifiers):
     holds.  ``create_file``, ``grow_file`` and ``remove_file`` add or
     subtract the file's own per-server bytes inside their transactions,
     so reading a server's usage costs one row, whatever the namespace
-    size; ``fsck`` recounts it from the bricklists (``usage-drift``).
+    size; create's charge refuses a server without room for it, and
+    ``fsck`` recounts the counters from the bricklists (``usage-drift``).
 ``dpfs_file_distribution``
     file_id, server_name, bricklist (JSON) — how each file's bricks
     are spread over subfiles.  The paper keys a row by file name; here
@@ -32,14 +33,15 @@ paper's names become underscores — SQL identifiers):
 ``dpfs_file_attr``
     file_id, filename, owner, permission, size, filelevel, striping
     geometry (JSON), placement, parent — per-file attributes incl. the
-    §3 file level.  ``file_id`` is allocated by the create's INSERT and
-    never reused (AUTOINCREMENT), even after the file is removed.
+    §3 file level.  ``file_id`` is allocated by the create's INSERT and,
+    once committed, never reused (AUTOINCREMENT), even after the file is
+    removed; a create that rolls back hands its id to the next one.
 
 A fifth table, ``dpfs_file_replica``, extends the paper's schema with
 per-server *replica* bricklists (same shape as the distribution table)
 for files created with ``replicas > 1``; the geometry JSON additionally
-carries ``replicas`` and a per-brick ``written`` flag, set by a brick's
-first write (checksums live with the bytes, :mod:`repro.backends.chunks`).
+carries ``replicas`` (checksums live with the bytes,
+:mod:`repro.backends.chunks`).
 A sixth table, ``dpfs_stale_copy``, lists the brick copies known to be
 out of date: missed by a degraded write, or found bad and not repaired.
 
@@ -51,14 +53,14 @@ from __future__ import annotations
 
 import os
 import posixpath
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple, NoReturn
 
 from ..errors import (
     ConstraintError,
     FileExists,
     FileNotFound,
+    FileSystemError,
     InvalidPath,
     MetaDBError,
 )
@@ -115,19 +117,9 @@ class FileRecord:
     brick_sizes: list[int]          # per-brick byte sizes (brick-id order)
     #: copies of every brick (1 = unreplicated)
     replicas: int = 1
-    #: per-brick flag (brick-id order): 1 once the brick has been
-    #: written, so fsck can tell a lost brick from one never written
-    written: list[int] = field(default_factory=list)
-    #: the file's never-reused id, which names its subfiles (0: not
-    #: created yet)
+    #: the file's id, never reused once committed, which names its
+    #: subfiles (0: not created yet)
     file_id: int = 0
-
-    def __post_init__(self) -> None:
-        self.pad_written()
-
-    def pad_written(self) -> None:
-        """Extend the written flags to one per brick."""
-        self.written += [0] * (len(self.brick_sizes) - len(self.written))
 
 
 _BRICKLIST_TABLES = ("dpfs_file_distribution", "dpfs_file_replica")
@@ -155,6 +147,18 @@ _BRICK_SIZES_OF = (
 _FILE_BRICK_SIZES_SQL = " UNION ALL ".join(
     _BRICK_SIZES_OF.format(table) + " WHERE a.file_id = ?"
     for table in _BRICKLIST_TABLES
+)
+
+# A file's attr row (``{attr}``: its columns wanted) and its bricklist
+# rows in ``{table}``, each with the id of the server it names (NULL:
+# no server of that name), keyed by ``{key}``: one row per bricklist
+# row, or one with NULL bricklist columns when the file has none.
+_FILE_ROWS_SQL = (
+    "SELECT {attr}, d.server_name AS row_server, d.bricklist, s.server_id"
+    " FROM dpfs_file_attr AS a"
+    " LEFT JOIN {table} AS d ON d.file_id = a.file_id"
+    " LEFT JOIN dpfs_server AS s ON s.server_name = d.server_name"
+    " WHERE a.{key} = ?"
 )
 
 # a file's row servers; ``kind`` indexes :class:`Holders`
@@ -230,6 +234,9 @@ class MetadataManager:
 
     def __init__(self, db: Database) -> None:
         self.db = db
+        #: the mount's servers, backend indices ``0..n-1`` (set by
+        #: :meth:`register_servers`)
+        self.n_servers = 0
         self._ensure_schema()
 
     # ------------------------------------------------------------------
@@ -460,6 +467,7 @@ class MetadataManager:
 
     def register_servers(self, infos: list[Any]) -> None:
         """Record the backend's servers in dpfs_server (idempotent)."""
+        self.n_servers = len(infos)
         with self.db.transaction():
             for idx, info in enumerate(infos):
                 existing = self.db.execute(
@@ -594,7 +602,6 @@ class MetadataManager:
                 "pgrid": list(record.pgrid) if record.pgrid else None,
                 "brick_sizes": record.brick_sizes,
                 "replicas": record.replicas,
-                "written": record.written,
             }
             try:
                 file_id = self.db.execute(
@@ -619,24 +626,59 @@ class MetadataManager:
                 nbytes = brick_map.subfile_size(server)
                 if replica_map is not None:
                     nbytes += replica_map.subfile_size(server)
-                if nbytes:
-                    self._add_used(server, nbytes)
+                if nbytes and not self.db.execute(
+                    "UPDATE dpfs_server SET used = used + ?"
+                    " WHERE server_id = ? AND used + ? <= capacity",
+                    [nbytes, server, nbytes],
+                ).rowcount:
+                    self._lacks_capacity(server, nbytes)
         record.file_id = file_id
         return file_id
 
-    def load_file(self, path: str | int) -> tuple[FileRecord, BrickMap]:
-        """A file's record and brick map, by path or by file id (how an
-        open handle finds its file after a rename)."""
-        if isinstance(path, int):
-            column, key = "file_id", path
-        else:
-            column, key = "filename", normalize_path(path)
+    def _lacks_capacity(self, server: int, nbytes: int) -> NoReturn:
+        """Refuse a create that would take ``server`` past its capacity
+        (the DPFS-SERVER ``capacity`` attribute, §5)."""
+        row = self.db.execute(
+            "SELECT server_name, capacity, used FROM dpfs_server"
+            " WHERE server_id = ?",
+            [server],
+        ).rows[0]
+        raise FileSystemError(
+            f"server {server} ({row['server_name']}) lacks capacity: "
+            f"{row['used'] + nbytes} > {row['capacity']} bytes"
+        )
+
+    def _file_rows(
+        self, kind: str, attr: str, key: str, value: str | int
+    ) -> tuple[dict[str, Any], list[list[int]]]:
+        """A file's attr row and its per-server ``kind`` bricklists
+        (``"distribution"`` or ``"replica"``), in one SELECT."""
         rows = self.db.execute(
-            f"SELECT * FROM dpfs_file_attr WHERE {column} = ?", [key]
+            _FILE_ROWS_SQL.format(attr=attr, table=f"dpfs_file_{kind}", key=key),
+            [value],
         ).rows
         if not rows:
-            raise FileNotFound(str(key))
-        attr = rows[0]
+            raise FileNotFound(str(value))
+        bricklists: list[list[int]] = [[] for _ in range(self.n_servers)]
+        for row in rows:
+            if row["row_server"] is None:
+                continue  # the file has no row of this kind
+            if row["server_id"] is None or row["server_id"] >= self.n_servers:
+                raise MetaDBError(
+                    f"{kind} row references unknown server {row['row_server']!r}"
+                )
+            bricklists[row["server_id"]] = list(row["bricklist"])
+        return rows[0], bricklists
+
+    def load_file(self, path: str | int) -> tuple[FileRecord, BrickMap]:
+        """A file's record and brick map, by path or by file id (how an
+        open handle finds its file after a rename): one SELECT of its
+        attr row joined to its distribution rows and their servers."""
+        if isinstance(path, int):
+            key, value = "file_id", path
+        else:
+            key, value = "filename", normalize_path(path)
+        attr, bricklists = self._file_rows("distribution", "a.*", key, value)
         geometry = attr["geometry"]
         record = FileRecord(
             path=attr["filename"],
@@ -654,55 +696,16 @@ class MetadataManager:
             placement=attr["placement"],
             brick_sizes=list(geometry["brick_sizes"]),
             replicas=geometry.get("replicas", 1),
-            written=list(geometry.get("written", [])),
             file_id=attr["file_id"],
         )
-        dist = self.db.execute(
-            "SELECT server_name, bricklist FROM dpfs_file_distribution "
-            "WHERE file_id = ?",
-            [record.file_id],
-        ).rows
-        order = {row["server_name"]: row["server_id"] for row in self.servers()}
-        bricklists: list[list[int]] = [[] for _ in order]
-        for row in dist:
-            try:
-                bricklists[order[row["server_name"]]] = list(row["bricklist"])
-            except KeyError:
-                raise MetaDBError(
-                    f"distribution row references unknown server "
-                    f"{row['server_name']!r}"
-                ) from None
-        brick_map = BrickMap.from_lists(bricklists, record.brick_sizes)
-        return record, brick_map
+        return record, BrickMap.from_lists(bricklists, record.brick_sizes)
 
     def load_replica_map(self, record: FileRecord) -> ReplicaMap:
         """The file's replica bricklists (empty map for replicas == 1)."""
-        order = {row["server_name"]: row["server_id"] for row in self.servers()}
-        bricklists: list[list[int]] = [[] for _ in order]
-        for row in self.db.execute(
-            "SELECT server_name, bricklist FROM dpfs_file_replica "
-            "WHERE file_id = ?",
-            [record.file_id],
-        ).rows:
-            server_id = order.get(row["server_name"])
-            if server_id is None:
-                raise MetaDBError(
-                    f"replica row references unknown server "
-                    f"{row['server_name']!r}"
-                )
-            bricklists[server_id] = list(row["bricklist"])
-        return ReplicaMap.build(len(order), bricklists, record.brick_sizes)
-
-    def mark_written(self, file_id: int, bricks: list[int]) -> None:
-        """Set the ``written`` flag of ``bricks`` (their first write), each
-        in place, leaving the others as a concurrent writer left them."""
-        with self.db.transaction() if len(bricks) > 1 else nullcontext():
-            for brick in bricks:
-                self.db.execute(
-                    "UPDATE dpfs_file_attr SET geometry ="
-                    " json_set(geometry, ?, 1) WHERE file_id = ?",
-                    [f"$.written[{brick}]", file_id],
-                )
+        _attr, bricklists = self._file_rows(
+            "replica", "a.file_id", "file_id", record.file_id
+        )
+        return ReplicaMap.build(len(bricklists), bricklists, record.brick_sizes)
 
     # -- stale copies ------------------------------------------------------
     def stale_copies(self, file_id: int | None = None) -> set[StaleCopy]:
@@ -740,18 +743,16 @@ class MetadataManager:
         )
         return [(r["file_id"], r["geometry"]) for r in rows]
 
-    def legacy_checksums_done(
-        self, file_id: int, written: list[int], stale: set[StaleCopy]
-    ) -> None:
+    def legacy_checksums_done(self, file_id: int, stale: set[StaleCopy]) -> None:
         """One transaction once a file's subfiles have sidecars: list the
-        copies whose bytes failed the old checksums, replace the
-        checksums by ``written`` flags and strike the file off."""
+        copies whose bytes failed the old checksums, drop the checksums
+        and strike the file off."""
         with self.db.transaction():
             self.db.execute(
-                "UPDATE dpfs_file_attr SET geometry = json_remove(json_set("
-                "geometry, '$.written', json(?)), '$.brick_crcs',"
-                " '$.brick_crc_versions', '$.crc_algo') WHERE file_id = ?",
-                [written, file_id],
+                "UPDATE dpfs_file_attr SET geometry = json_remove(geometry,"
+                " '$.brick_crcs', '$.brick_crc_versions', '$.crc_algo')"
+                " WHERE file_id = ?",
+                [file_id],
             )
             self.list_stale(stale)
             self.db.execute(
@@ -765,22 +766,13 @@ class MetadataManager:
         )
 
     def _grow_geometry(self, file_id: int, brick_sizes: list[int]) -> None:
-        """Extend geometry's brick_sizes and written flags (caller holds
-        the transaction)."""
-        rows = self.db.execute(
-            "SELECT geometry FROM dpfs_file_attr WHERE file_id = ?",
-            [file_id],
-        ).rows
-        if not rows:
+        """Set geometry's brick_sizes (caller holds the transaction)."""
+        if not self.db.execute(
+            "UPDATE dpfs_file_attr SET geometry ="
+            " json_set(geometry, '$.brick_sizes', json(?)) WHERE file_id = ?",
+            [brick_sizes, file_id],
+        ).rowcount:
             raise FileNotFound(f"file id {file_id}")
-        geometry = dict(rows[0]["geometry"])
-        geometry["brick_sizes"] = list(brick_sizes)
-        written = list(geometry.get("written", []))
-        geometry["written"] = written + [0] * (len(brick_sizes) - len(written))
-        self.db.execute(
-            "UPDATE dpfs_file_attr SET geometry = ? WHERE file_id = ?",
-            [geometry, file_id],
-        )
 
     def _write_bricklists(
         self,

@@ -74,21 +74,24 @@ def test_write_fault_leaves_metadata_consistent(fs, faulty):
 
 def test_create_fault_aborts_cleanly(fs, faulty):
     """If subfile creation fails mid-fan-out, the failure surfaces as
-    one aggregate error.  The file's rows committed first and no byte
-    of it was written, so fsck --repair recreates the missing subfile
-    empty and the file is usable again: nothing is lost or orphaned."""
-    faulty.fail_next("create")
+    one aggregate error and the whole create rolls back: no row, and the
+    subfiles made before the fault are empty orphans.  A retried create
+    needs no repair: handed the same id, it takes them as its own."""
+    data = bytes(range(40))
+    hint = Hint.linear(file_size=len(data), brick_size=10)  # servers 0-3
+    faulty.fail_next("create", server=1)
     with pytest.raises(MultiServerError) as excinfo:
-        fs.write_file("/doomed", b"x" * 10)
+        fs.write_file("/doomed", data, hint)
     assert any(isinstance(e, InjectedFault) for _s, e in excinfo.value.errors)
-    report = fsck(fs, repair=True)
-    assert [(f.kind, f.repaired) for f in report.findings] == [
-        ("missing-subfile", True)
-    ]
+    assert not fs.exists("/doomed")
+    report = fsck(fs)
+    assert [f.kind for f in report.findings] == ["orphan-subfile"] * 3
+    leftovers = [(s, n) for s in range(4) for n in faulty.list_subfiles(s)]
+    assert [faulty.subfile_size(*key) for key in leftovers] == [0, 0, 0]
+    with fs.open("/doomed", "w", hint=hint) as handle:
+        handle.write(0, data)
+    assert fs.read_file("/doomed") == data
     assert fsck(fs).clean
-    with fs.open("/doomed", "r+") as handle:
-        handle.write(0, b"fresh")
-    assert fs.read_file("/doomed") == b"fresh" + bytes(5)
 
 
 def test_per_server_fault_with_combination(fs, faulty):

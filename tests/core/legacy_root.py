@@ -83,9 +83,9 @@ def make_pre_sidecar(root, n_servers: int, flip=None) -> None:
                 data = fs.backend.read_extents(
                     loc.server, name, [(loc.local_offset, loc.size)]
                 )
-                crcs.append(checksum(data) if record.written[brick_id] else None)
+                # a brick of zeros passes for one never written
+                crcs.append(checksum(data) if data.count(0) < len(data) else None)
             geometry = fs.stat(path)["geometry"]
-            del geometry["written"]
             geometry.update(
                 brick_crcs=crcs,
                 brick_crc_versions=[None] * len(crcs),

@@ -2,13 +2,12 @@
 
 A durable commit is an explicit COMMIT, or a row-changing statement
 that runs outside a transaction and so commits on its own; on a file
-database each one is a WAL fsync.  Budgets: create 1 (+1 for the
-``written`` mark of its first write), remove 2, rename 1, grow 1 (+1
-for the mark), refill 2; a read, and a write to bricks already
-written, commit nothing.
+database each one is a WAL fsync.  Budgets: create 1, also with its
+first write, remove 2, rename 1, grow 1 (also as part of a write);
+a read and a write within the file commit nothing.
 
 Statements (BEGIN and COMMIT included) of a one-brick file on four
-servers: create + 4 KiB write 11, rename 4, remove 8, open 3.
+servers: create + 4 KiB write 6, rename 4, remove 8, open 1.
 """
 
 import pytest
@@ -57,10 +56,10 @@ def commits(fs, fn, *args):
     return fs.db.commits - before
 
 
-def test_create_commits_once_plus_the_first_write_mark(fs):
+def test_create_with_its_first_write_commits_once(fs):
     hint = Hint.linear(file_size=len(DATA), brick_size=BRICK)
     assert commits(fs, lambda: fs.open("/d/g", "w", hint=hint).close()) == 1
-    assert commits(fs, fs.write_file, "/d/h", DATA, hint) == 2
+    assert commits(fs, fs.write_file, "/d/h", DATA, hint) == 1
 
 
 def test_remove_commits_twice(fs):
@@ -72,12 +71,11 @@ def test_rename_commits_once(fs):
 
 
 def test_grow_commits_once(fs):
-    """A growing write costs grow's one transaction plus the mark of
-    the new brick's first write; a write to written bricks commits
-    nothing."""
+    """A growing write costs grow's one transaction; a write within the
+    file commits nothing."""
     with fs.open("/d/f", "r+") as handle:
         assert commits(fs, handle.write, 0, DATA[:BRICK]) == 0
-        assert commits(fs, handle.write, len(DATA), DATA[:BRICK]) == 2
+        assert commits(fs, handle.write, len(DATA), DATA[:BRICK]) == 1
 
 
 def test_refill_commits_twice(fs):
@@ -101,7 +99,7 @@ def statements(fs, fn, *args):
 def test_one_brick_file_statement_budgets(fs):
     small = bytes(4096)
     hint = Hint.linear(file_size=len(small), brick_size=len(small))
-    assert statements(fs, fs.write_file, "/d/s", small, hint) <= 11
-    assert statements(fs, lambda: fs.open("/d/s", "r").close()) <= 3
+    assert statements(fs, fs.write_file, "/d/s", small, hint) <= 6
+    assert statements(fs, lambda: fs.open("/d/s", "r").close()) <= 1
     assert statements(fs, fs.rename, "/d/s", "/d/t") <= 4
     assert statements(fs, fs.remove, "/d/t") <= 8

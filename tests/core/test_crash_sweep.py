@@ -17,14 +17,13 @@ every pending intent forward) plus one ``fsck --repair`` must leave:
 - no subfile outside its file's row servers, and none that removing
   every file leaves behind.
 
-A create that dies after its commit leaves a file whose subfiles are
-missing; no byte of it was written, so fsck recreates them empty.
-Writes are not journalled.  A crash between a write's data landing on
-every copy and the ``written`` mark of its first write leaves the mark
-unset, which nothing needs to repair.  A crash between a write's bytes
-and its chunk checksums on one server (a torn pair) leaves a copy whose
-chunk fails its checksum: scrub must report it as ``checksum-mismatch``
-and rewrite it from the other copy before the checks above.
+A create makes its subfiles inside its commit transaction, so one that
+dies leaves no file, only empty subfiles no row names, which the one
+fsck deletes as orphans.  Writes are not journalled.  A crash between a
+write's bytes and its chunk checksums on one server (a torn pair)
+leaves a copy whose chunk fails its checksum: scrub must report it as
+``checksum-mismatch`` and rewrite it from the other copy before the
+checks above.
 
 ``io_workers=1`` forces inline sequential dispatch so "crash after the
 first server's work" (the ``mid_*`` points) is deterministic.
@@ -83,10 +82,8 @@ def _crash_create(fs, ctx):
 
 
 def _check_create(fs, ctx):
-    # old state: no file at all; new state: created (and never written,
-    # since the crash predates the first write) — so it reads as zeros
-    if fs.exists("/d/f"):
-        assert fs.read_file("/d/f") == bytes(len(DATA))
+    # every create point precedes the commit: the file never existed
+    assert not fs.exists("/d/f")
 
 
 def _setup_remove(fs):
@@ -153,7 +150,7 @@ def _check_grow_out(fs, ctx):
 
 
 def _setup_write(fs):
-    # only brick 0 written, so the crashing write is brick 1's first
+    # brick 0 holds bytes, brick 1 zeros that were never written
     fs.makedirs("/d")
     fs.write_file("/d/f", DATA[:BRICK], lhint(len(DATA), replicas=2))
     return {"patch": b"W" * BRICK}
@@ -165,22 +162,10 @@ def _crash_write(fs, ctx):
     handle.write(BRICK // 2, ctx["patch"])
 
 
-def _written_contents(ctx):
-    old = DATA[:BRICK] + bytes(len(DATA) - BRICK)
-    new = bytearray(old)
-    new[BRICK // 2 : BRICK // 2 + BRICK] = ctx["patch"]
-    return old, bytes(new)
-
-
-def _check_write(fs, ctx):
-    # the bytes reached every copy before the crash
-    assert fs.read_file("/d/f") == _written_contents(ctx)[1]
-
-
 def _check_torn_write(fs, ctx):
     # the primary took the bytes but not their checksums, the replica
     # never got the write: scrub rewrote the torn copy from the replica
-    assert fs.read_file("/d/f") == _written_contents(ctx)[0]
+    assert fs.read_file("/d/f") == DATA[:BRICK] + bytes(len(DATA) - BRICK)
 
 
 def _setup_refill(fs):
@@ -212,7 +197,6 @@ OPS = {
     "grow": (_setup_grow, _crash_grow, _check_grow),
     "grow_out": (_setup_grow_out, _crash_grow, _check_grow_out),
     "refill": (_setup_refill, _crash_refill, _check_refill),
-    "write": (_setup_write, _crash_write, _check_write),
     "torn_write": (_setup_write, _crash_write, _check_torn_write),
 }
 
@@ -222,9 +206,8 @@ OPS = {
 TORN_POINTS = {"backend.write.before_sidecar"}
 
 SWEEP = [
-    ("create", "filesystem.create.in_commit"),
-    ("create", "filesystem.create.after_commit"),
     ("create", "filesystem.create.mid_subfiles"),
+    ("create", "filesystem.create.in_commit"),
     ("remove", "filesystem.remove.in_commit"),
     ("remove", "filesystem.remove.after_metadata"),
     ("remove", "filesystem.remove.mid_subfiles"),
@@ -235,7 +218,6 @@ SWEEP = [
     ("refill", "filesystem.refill.after_intent"),
     ("refill", "filesystem.refill.mid_copy"),
     ("refill", "filesystem.refill.after_copy"),
-    ("write", "handle.write.before_written_mark"),
     ("torn_write", "backend.write.before_sidecar"),
 ]
 

@@ -77,9 +77,8 @@ def test_handle_opened_before_rename_keeps_reading_and_writing():
         handle.write(len(data), patch)      # grows the file: a first write
         expected = data[:BRICK] + patch + data[2 * BRICK :] + patch
         assert handle.read(0, len(expected)) == expected
-    record, _ = fs.meta.load_file("/d/g")
-    assert record.size == len(expected)
-    assert record.written[-1]  # marked through the id, after the rename
+    record, bmap = fs.meta.load_file("/d/g")
+    assert record.size == len(expected) and len(bmap) == 5  # grown through the id
     assert fs.read_file("/d/g") == expected
     assert fsck(fs).clean
 

@@ -30,20 +30,40 @@ def test_clean_filesystem(populated):
 
 
 def test_missing_subfile_detected_and_repaired(populated):
-    """A file no byte was written to (a crash between create's commit
-    and its subfile creates leaves one) gets its subfile back empty."""
+    """A primary subfile whose every brick has another copy is recreated
+    and its bricks listed stale there, so the deep pass rewrites them."""
     fs = populated
-    fs.open("/c", "w", hint=Hint.linear(file_size=500)).close()
-    fs.backend.delete_subfile(0, names(fs, "/c")[0])
-    report = fsck(fs)
+    fs.open("/c", "w", hint=Hint.linear(file_size=500, replicas=2)).close()
+    server = fs.meta.load_file("/c")[1].location(0).server
+    fs.backend.delete_subfile(server, names(fs, "/c")[0])
+    report = fsck(fs, deep=False)
     assert [f.kind for f in report.findings] == ["missing-subfile"]
     assert not report.findings[0].repaired
 
     repaired = fsck(fs, repair=True)
     assert repaired.by_kind("missing-subfile")[0].repaired
+    assert all(f.repaired for f in repaired.findings), str(repaired)
     assert fsck(fs).clean
-    # file readable again (unwritten bricks read as zeros — sparse semantics)
+    # file readable again (never written, so zeros: sparse semantics)
     assert fs.read_file("/c") == bytes(500)
+
+
+def test_an_old_roots_written_flags_are_ignored(populated):
+    """An earlier build committed a create before making its subfiles, so
+    a crash between left a file without them, its bricks flagged never
+    written.  Nothing reads the flags now: with no other copy, the
+    missing subfile is lost, not recreated as zeros."""
+    fs = populated
+    fs.open("/c", "w", hint=Hint.linear(file_size=500)).close()
+    fs.db.execute(
+        "UPDATE dpfs_file_attr SET geometry ="
+        " json_set(geometry, '$.written', json('[0]')) WHERE filename = '/c'"
+    )
+    name = names(fs, "/c")[0]
+    fs.backend.delete_subfile(0, name)
+    report = fsck(fs, repair=True)
+    assert [(f.kind, f.repaired) for f in report.findings] == [("lost-subfile", False)]
+    assert not fs.backend.subfile_exists(0, name)
 
 
 def test_lost_written_subfile_is_reported_not_zeroed(populated):
@@ -187,9 +207,8 @@ def test_lost_subfile_with_other_copies_is_recreated_and_refilled(fs):
 
 
 def test_orphan_pass_spares_a_file_created_after_pass_one(populated, monkeypatch):
-    """Create commits its rows before it makes its subfiles, so a file
-    created while fsck runs has subfiles pass 1 never saw: the orphan
-    pass looks their id up again before deleting anything."""
+    """A file created while fsck runs has subfiles pass 1 never saw: the
+    orphan pass looks their id up again before deleting anything."""
     fsck_module = importlib.import_module("repro.core.fsck")
     fs = populated
     count_usage = fsck_module.usage_oracle

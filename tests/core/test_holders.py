@@ -217,16 +217,17 @@ def test_create_loser_deletes_only_subfiles_the_winner_does_not_hold():
     backend = MemoryBackend(4)
     fs = DPFS(backend, db, auto_recover=False)
     winner = DPFS(backend, db, auto_recover=False)
-    real = fs._check_capacity
+    real = fs._plan_create
 
-    def plan_then_lose(brick_map, replica_map=None):
-        real(brick_map, replica_map)
+    def plan_then_lose(norm, hint):
+        planned = real(norm, hint)
         winner.write_file("/f", DATA, lhint(len(DATA)))  # server 0 only
+        return planned
 
-    fs._check_capacity = plan_then_lose
+    fs._plan_create = plan_then_lose
     with pytest.raises(FileExists):
         fs.write_file("/f", DATA * 3, lhint(3 * len(DATA)))  # servers 0-2
-    del fs._check_capacity
+    del fs._plan_create
     assert subfiles(fs) == {(0, names(fs, "/f")[0])}
     assert fs.read_file("/f") == DATA
     assert fs.intents.pending() == []

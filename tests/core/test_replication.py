@@ -93,7 +93,7 @@ def test_create_replicated_file_layout():
         locs = rmap.locations(brick_id)
         assert len(locs) == 1
         assert locs[0].server != bmap.location(brick_id).server
-    assert all(record.written)
+    assert "written" not in fs.stat("/f")["geometry"]
     assert fs.read_file("/f") == data
 
 

@@ -157,25 +157,30 @@ def test_brick_touched_twice_is_hashed_after_both_extents():
     )
 
 
-# -- written flags -----------------------------------------------------------
+# -- no written flags --------------------------------------------------------
 
-def test_growth_extends_the_written_flags():
+def test_growth_keeps_no_written_flags():
     fs = DPFS.memory(2)
     hint = Hint.linear(file_size=BRICK, brick_size=BRICK)
     fs.write_file("/f", payload(BRICK), hint)
     with fs.open("/f", "r+") as h:
         h.write(BRICK, payload(2 * BRICK))
-    record, bmap = fs.meta.load_file("/f")
-    assert record.written == [1, 1, 1] and len(bmap) == 3
+    _record, bmap = fs.meta.load_file("/f")
+    assert len(bmap) == 3 and "written" not in fs.stat("/f")["geometry"]
+    assert fs.read_file("/f") == payload(BRICK) + payload(2 * BRICK)
     assert scrub(fs).clean
 
 
 def test_unwritten_bricks_stay_unmarked():
+    """A brick's first write changes no metadata: the attr row stays as
+    the create left it, and the bricks never written read as zeros."""
     fs = DPFS.memory(2)
     hint = Hint.linear(file_size=4 * BRICK, brick_size=BRICK)
     with fs.open("/f", "w", hint=hint) as h:
+        created = fs.stat("/f")
         h.write(BRICK + 1, b"x")
-    assert fs.meta.load_file("/f")[0].written == [0, 1, 0, 0]
+    assert fs.stat("/f") == created
+    assert fs.read_file("/f") == bytes(BRICK + 1) + b"x" + bytes(3 * BRICK - 2)
 
 
 # -- a brick rewritten under an open reader -----------------------------------
