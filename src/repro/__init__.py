@@ -27,43 +27,33 @@ Quickstart::
         column = f.read_array((0, 0), (1024, 16), np.float64)
 """
 
-from .core import (
-    DPFS,
-    ArrayStriping,
-    BrickMap,
-    BrickSlice,
-    FileHandle,
-    FileLevel,
-    Greedy,
-    Hint,
-    LinearStriping,
-    MultidimStriping,
-    RoundRobin,
-    copy_within,
-    export_file,
-    import_file,
-    plan_requests,
-)
-from .errors import DPFSError
+from .util import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DPFS",
-    "FileHandle",
-    "Hint",
-    "FileLevel",
-    "LinearStriping",
-    "MultidimStriping",
-    "ArrayStriping",
-    "RoundRobin",
-    "Greedy",
-    "BrickMap",
-    "BrickSlice",
-    "plan_requests",
-    "import_file",
-    "export_file",
-    "copy_within",
-    "DPFSError",
-    "__version__",
-]
+# a storage server imports ``repro`` too, so the client stack behind
+# these names loads only when one of them is first used
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "DPFS",
+            "FileHandle",
+            "Hint",
+            "FileLevel",
+            "LinearStriping",
+            "MultidimStriping",
+            "ArrayStriping",
+            "RoundRobin",
+            "Greedy",
+            "BrickMap",
+            "BrickSlice",
+            "plan_requests",
+            "import_file",
+            "export_file",
+            "copy_within",
+        ),
+        ".errors": ("DPFSError",),
+    },
+)
+__all__.append("__version__")

@@ -1,19 +1,15 @@
 """Storage backends: memory, local-directory, remote-TCP, simulated,
 plus a fault-injection wrapper for tests."""
 
-from .base import ServerInfo, StorageBackend
-from .faulty import FaultyBackend, InjectedFault, TransientFault
-from .local import LocalBackend
-from .memory import MemoryBackend
-from .simulated import SimulatedBackend
+from ..util import lazy_exports
 
-__all__ = [
-    "StorageBackend",
-    "ServerInfo",
-    "MemoryBackend",
-    "LocalBackend",
-    "SimulatedBackend",
-    "FaultyBackend",
-    "InjectedFault",
-    "TransientFault",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("StorageBackend", "ServerInfo"),
+        ".memory": ("MemoryBackend",),
+        ".local": ("LocalBackend",),
+        ".simulated": ("SimulatedBackend",),
+        ".faulty": ("FaultyBackend", "InjectedFault", "TransientFault"),
+    },
+)

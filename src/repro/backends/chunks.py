@@ -21,7 +21,7 @@ import struct
 import zlib
 from collections.abc import Sequence
 
-from ..core.crashpoints import crashpoint, register
+from ..crashpoints import CP_WRITE_BEFORE_SIDECAR, crashpoint
 from ..errors import ChecksumError
 from ..util import Extent
 
@@ -31,10 +31,6 @@ __all__ = ["CHUNK_SIZE", "read_chunks", "write_chunks"]
 CHUNK_SIZE = 4096
 _ENTRY = 4
 _ZERO = zlib.crc32(bytes(CHUNK_SIZE))
-
-#: a write's bytes are in the subfile, its sidecar entries are not yet:
-#: a crash here leaves a torn chunk that reads fail and scrub re-stamps
-CP_WRITE_BEFORE_SIDECAR = register("backend.write.before_sidecar")
 
 
 def _whole(store, off: int, ln: int) -> tuple[int, bytes]:

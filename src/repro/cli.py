@@ -161,6 +161,9 @@ def _cmd_shell(args: argparse.Namespace) -> int:
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
+    import signal
+    import time
+
     from .net.server import DPFSServer
 
     server = DPFSServer(
@@ -172,10 +175,11 @@ def _cmd_server(args: argparse.Namespace) -> int:
     )
     server.start()
     host, port = server.address
-    print(f"dpfs server on {host}:{port}, storage at {args.root} — Ctrl-C stops")
     try:
-        import time
-
+        # SIGTERM stops the server the way Ctrl-C does: through stop(),
+        # which lets a write in service finish with its sidecar stamps
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        print(f"dpfs server on {host}:{port}, storage at {args.root} — Ctrl-C stops")
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

@@ -1,6 +1,11 @@
 """DPFS core: striping methods, placement, request combination, the file
 system facade and its metadata layer."""
 
+from ..checksum import CRC_ALGORITHM, checksum, checksum_fn
+from ..crashpoints import SimulatedCrash, armed, crashpoint
+from ..crashpoints import arm as arm_crashpoint
+from ..crashpoints import disarm as disarm_crashpoint
+from ..crashpoints import registered as registered_crashpoints
 from .brick import (
     BrickLocation,
     BrickMap,
@@ -10,12 +15,7 @@ from .brick import (
     subfile_names,
 )
 from .cache import BrickCache, CacheStats
-from .checksum import CRC_ALGORITHM, checksum, checksum_fn
 from .combine import ServerRequest, SlicePlacement, plan_requests
-from .crashpoints import SimulatedCrash, armed, crashpoint
-from .crashpoints import arm as arm_crashpoint
-from .crashpoints import disarm as disarm_crashpoint
-from .crashpoints import registered as registered_crashpoints
 from .dispatch import (
     Dispatcher,
     DispatcherStats,

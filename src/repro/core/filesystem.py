@@ -21,6 +21,22 @@ from typing import Any, Sequence
 from ..backends.base import StorageBackend
 from ..backends.local import LocalBackend
 from ..backends.memory import MemoryBackend
+from ..checksum import checksum_fn
+from ..crashpoints import (
+    CP_CREATE_IN_COMMIT,
+    CP_CREATE_MID_SUBFILES,
+    CP_GROW_IN_COMMIT,
+    CP_GROW_MID_SUBFILES,
+    CP_REFILL_AFTER_COPY,
+    CP_REFILL_AFTER_INTENT,
+    CP_REFILL_MID_COPY,
+    CP_REMOVE_AFTER_METADATA,
+    CP_REMOVE_AFTER_SUBFILES,
+    CP_REMOVE_IN_COMMIT,
+    CP_REMOVE_MID_SUBFILES,
+    CP_RENAME_IN_COMMIT,
+    crashpoint,
+)
 from ..errors import (
     DPFSError,
     FileNotFound,
@@ -33,8 +49,6 @@ from ..metadb import Database
 from ..obs import MetricsRegistry, Tracer
 from .brick import BrickMap, ReplicaMap, subfile_names
 from .cache import BrickCache
-from .checksum import checksum_fn
-from .crashpoints import crashpoint, register
 from .dispatch import Dispatcher, DispatchPolicy
 from .handle import FileHandle
 from .hints import Hint
@@ -79,35 +93,6 @@ def _pin_malloc_thresholds() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
-
-
-# -- crash points ------------------------------------------------------------
-# One per boundary that separates two different durable states of a
-# multi-step operation; the systematic crash sweep
-# (tests/core/test_crash_sweep.py) arms each of these in turn and
-# proves a remount plus ``fsck --repair`` restores a clean namespace.
-# The ``mid_subfiles``/``mid_copy`` points sit *inside* the per-server
-# fan-out, after one server's work, so they model a crash with the
-# mutation half-applied across the cluster.  The ``in_commit`` points
-# sit inside the commit transaction: a crash there means the
-# transaction never became durable, so the operation never happened
-# (create makes its subfiles inside it, so its ``mid_subfiles`` is one
-# such point too).
-# A boundary with no durable change between it and its neighbour (or
-# the operation's start or end) has no point: a crash there leaves the
-# same state as one at the neighbour.
-CP_CREATE_MID_SUBFILES = register("filesystem.create.mid_subfiles")
-CP_CREATE_IN_COMMIT = register("filesystem.create.in_commit")
-CP_REMOVE_IN_COMMIT = register("filesystem.remove.in_commit")
-CP_REMOVE_AFTER_METADATA = register("filesystem.remove.after_metadata")
-CP_REMOVE_MID_SUBFILES = register("filesystem.remove.mid_subfiles")
-CP_REMOVE_AFTER_SUBFILES = register("filesystem.remove.after_subfiles")
-CP_RENAME_IN_COMMIT = register("filesystem.rename.in_commit")
-CP_GROW_MID_SUBFILES = register("filesystem.grow.mid_subfiles")
-CP_GROW_IN_COMMIT = register("filesystem.grow.in_commit")
-CP_REFILL_AFTER_INTENT = register("filesystem.refill.after_intent")
-CP_REFILL_MID_COPY = register("filesystem.refill.mid_copy")
-CP_REFILL_AFTER_COPY = register("filesystem.refill.after_copy")
 
 
 class _SubsetPolicy(PlacementPolicy):

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..checksum import checksum_fn  # noqa: F401 - perfbench's ledger wraps it here
 from ..datatypes import Datatype
 from ..errors import (
     BadFileHandle,
@@ -43,7 +44,6 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import span
 from ..util import Extent
 from .brick import BrickLocation, BrickMap, BrickSlice, ReplicaMap, subfile_names
-from .checksum import checksum_fn  # noqa: F401 - perfbench's ledger wraps it here
 from .combine import ServerRequest, SlicePlacement, plan_requests
 from .metadata import FileRecord
 from .scrub import brick_copies, read_fresh_copy, repair_copy

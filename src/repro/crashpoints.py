@@ -1,9 +1,10 @@
 """Deterministic crash-point injection for crash-consistency testing.
 
-Multi-step operations (:mod:`repro.core.intent`) call
+Multi-step operations (:mod:`repro.core.filesystem`) and the write
+of a chunk's checksums (:mod:`repro.backends.chunks`) call
 :func:`crashpoint` at every step boundary::
 
-    crashpoint("filesystem.rename.after_metadata")
+    crashpoint(CP_REMOVE_AFTER_METADATA)
 
 In a real run the call is a no-op costing one global read.  Tests arm a
 named point with :func:`arm`; the next time execution reaches it the
@@ -20,9 +21,9 @@ Subprocess crash tests arm through the environment instead of the API:
 ``DPFS_CRASHPOINT_MODE=exit``) arms the point at import time, which is
 how the kill-9 acceptance test murders a real client mid-operation.
 
-Every point must be declared with :func:`register` (done next to the
-code that calls it) so the systematic crash sweep can enumerate
-*every* registered point and prove recovery from each one.
+Every point is declared here, as a ``CP_*`` constant, so the set the
+systematic crash sweep enumerates, and :func:`arm` checks names
+against, does not depend on which modules a process has imported.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from contextlib import contextmanager
 __all__ = [
     "SimulatedCrash",
     "crashpoint",
-    "register",
     "registered",
     "arm",
     "disarm",
@@ -62,9 +62,39 @@ class SimulatedCrash(BaseException):
         self.name = name
 
 
-#: every declared crash point (populated by :func:`register` at import
-#: time of the modules that call :func:`crashpoint`)
-_REGISTRY: set[str] = set()
+# -- the points ----------------------------------------------------------------
+# One per boundary that separates two different durable states of a
+# multi-step operation; the systematic crash sweep
+# (tests/core/test_crash_sweep.py) arms each of these in turn and
+# proves a remount plus ``fsck --repair`` restores a clean namespace.
+# The ``mid_subfiles``/``mid_copy`` points sit *inside* the per-server
+# fan-out, after one server's work, so they model a crash with the
+# mutation half-applied across the cluster.  The ``in_commit`` points
+# sit inside the commit transaction: a crash there means the
+# transaction never became durable, so the operation never happened
+# (create makes its subfiles inside it, so its ``mid_subfiles`` is one
+# such point too).
+# A boundary with no durable change between it and its neighbour (or
+# the operation's start or end) has no point: a crash there leaves the
+# same state as one at the neighbour.
+CP_CREATE_MID_SUBFILES = "filesystem.create.mid_subfiles"
+CP_CREATE_IN_COMMIT = "filesystem.create.in_commit"
+CP_REMOVE_IN_COMMIT = "filesystem.remove.in_commit"
+CP_REMOVE_AFTER_METADATA = "filesystem.remove.after_metadata"
+CP_REMOVE_MID_SUBFILES = "filesystem.remove.mid_subfiles"
+CP_REMOVE_AFTER_SUBFILES = "filesystem.remove.after_subfiles"
+CP_RENAME_IN_COMMIT = "filesystem.rename.in_commit"
+CP_GROW_MID_SUBFILES = "filesystem.grow.mid_subfiles"
+CP_GROW_IN_COMMIT = "filesystem.grow.in_commit"
+CP_REFILL_AFTER_INTENT = "filesystem.refill.after_intent"
+CP_REFILL_MID_COPY = "filesystem.refill.mid_copy"
+CP_REFILL_AFTER_COPY = "filesystem.refill.after_copy"
+#: a write's bytes are in the subfile, its sidecar entries are not yet:
+#: a crash here leaves a torn chunk that reads fail and scrub re-stamps
+CP_WRITE_BEFORE_SIDECAR = "backend.write.before_sidecar"
+
+#: every declared crash point: the ``CP_*`` constants above
+_REGISTRY = frozenset(v for k, v in globals().items() if k.startswith("CP_"))
 
 _lock = threading.Lock()
 
@@ -83,18 +113,12 @@ class _Armed:
 _armed: _Armed | None = None
 
 
-def register(name: str) -> str:
-    """Declare a crash point; returns the name for use as a constant."""
-    _REGISTRY.add(name)
-    return name
-
-
 def registered(prefix: str = "") -> list[str]:
     """All declared crash points (optionally filtered by name prefix)."""
     return sorted(n for n in _REGISTRY if n.startswith(prefix))
 
 
-def arm(name: str, *, mode: str = "raise", _validate: bool = True) -> None:
+def arm(name: str, *, mode: str = "raise") -> None:
     """Arm one crash point; the next :func:`crashpoint(name)` fires it.
 
     ``mode="raise"`` raises :class:`SimulatedCrash`; ``mode="exit"``
@@ -103,7 +127,7 @@ def arm(name: str, *, mode: str = "raise", _validate: bool = True) -> None:
     global _armed
     if mode not in ("raise", "exit"):
         raise ValueError(f"unknown crash mode {mode!r}")
-    if _validate and name not in _REGISTRY:
+    if name not in _REGISTRY:
         raise KeyError(
             f"unknown crash point {name!r}; registered points: "
             f"{registered()}"
@@ -162,8 +186,4 @@ def _fire(a: _Armed) -> None:
 # -- environment arming (subprocess crash tests) ----------------------------
 _env_point = os.environ.get("DPFS_CRASHPOINT")
 if _env_point:  # pragma: no cover - exercised via subprocess tests
-    arm(
-        _env_point,
-        mode=os.environ.get("DPFS_CRASHPOINT_MODE", "raise"),
-        _validate=False,  # registration happens after interpreter start
-    )
+    arm(_env_point, mode=os.environ.get("DPFS_CRASHPOINT_MODE", "raise"))

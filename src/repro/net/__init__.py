@@ -6,17 +6,15 @@ fault-injecting :class:`ChaosProxy` tests drive them with
 (:mod:`repro.net.chaos`).
 """
 
-from .chaos import ChaosProxy
-from .client import RemoteBackend, ServerConnection, ServerHealth
-from .protocol import recv_message, send_message
-from .server import DPFSServer
+from ..util import lazy_exports
 
-__all__ = [
-    "DPFSServer",
-    "ServerConnection",
-    "ServerHealth",
-    "RemoteBackend",
-    "ChaosProxy",
-    "send_message",
-    "recv_message",
-]
+# a server loads only :mod:`.server`, and a client only :mod:`.client`
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".server": ("DPFSServer",),
+        ".client": ("ServerConnection", "ServerHealth", "RemoteBackend"),
+        ".chaos": ("ChaosProxy",),
+        ".protocol": ("send_message", "recv_message"),
+    },
+)

@@ -33,7 +33,7 @@ exception type.
 
 Messages with a payload carry a ``crc`` header field — the payload's
 checksum, computed with the algorithm named by ``crc_algo`` (defaults
-to the sender's :data:`repro.core.checksum.CRC_ALGORITHM`).
+to the sender's :data:`repro.checksum.CRC_ALGORITHM`).
 ``recv_message`` verifies it and raises :class:`ProtocolError` on a
 mismatch, so a flipped bit anywhere between the two ends surfaces as a
 transport error (and a dispatcher retry) instead of silent corruption.
@@ -53,7 +53,7 @@ import socket
 import struct
 from typing import Any
 
-from ..core.checksum import CRC_ALGORITHM, checksum, checksum_fn
+from ..checksum import CRC_ALGORITHM, checksum, checksum_fn
 from ..errors import ProtocolError
 
 __all__ = [

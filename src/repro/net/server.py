@@ -125,6 +125,9 @@ class DPFSServer:
         self.name = name or f"dpfs://{self.address[0]}:{self.address[1]}"
         self._thread: threading.Thread | None = None
         self._io_lock = threading.Lock()
+        #: set by :meth:`stop` under ``_io_lock``; no read or write
+        #: starts after it
+        self._stopped = False
         self.requests_served = 0
         self.requests_rejected = 0
         #: server-side observability: every op is counted and timed in
@@ -177,6 +180,11 @@ class DPFSServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        # the server's shutdown point: wait out the read or write in
+        # service, so none is cut between its bytes and its sidecar
+        # stamps when the process exits, and admit none after it
+        with self._io_lock:
+            self._stopped = True
 
     def __enter__(self) -> "DPFSServer":
         return self.start()
@@ -185,6 +193,11 @@ class DPFSServer:
         self.stop()
 
     # -- request dispatch -----------------------------------------------------
+    def _check_running(self) -> None:
+        """Refuse a data op once :meth:`stop` has run (under ``_io_lock``)."""
+        if self._stopped:
+            raise ServerBusy(f"{self.name} is stopping; try again later")
+
     def _path(self, name: str) -> str:
         return os.path.join(self.root, escape_subfile_name(name))
 
@@ -317,6 +330,7 @@ class DPFSServer:
         if op == "read":
             verify = bool(header.get("verify", True))
             with self._io_lock:
+                self._check_running()
                 return {"ok": True}, read_subfile(path, name, extents, verify=verify)
         # write
         total = sum(ln for _o, ln in extents)
@@ -325,5 +339,6 @@ class DPFSServer:
                 f"extents cover {total} bytes but payload is {len(payload)}"
             )
         with self._io_lock:
+            self._check_running()
             write_subfile(path, name, extents, payload)
         return {"ok": True}, b""

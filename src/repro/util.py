@@ -7,8 +7,10 @@ so the coalescing and arithmetic helpers live here.
 
 from __future__ import annotations
 
+import importlib
 import math
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Extent",
@@ -20,6 +22,7 @@ __all__ = [
     "format_bytes",
     "parse_size",
     "require",
+    "lazy_exports",
     "KiB",
     "MiB",
     "GiB",
@@ -37,6 +40,26 @@ def require(condition: bool, exc: type[Exception], message: str) -> None:
     """Raise ``exc(message)`` unless ``condition`` holds."""
     if not condition:
         raise exc(message)
+
+
+def lazy_exports(
+    package: str, exports: Mapping[str, Sequence[str]]
+) -> tuple[list[str], Callable[[str], object]]:
+    """``(__all__, __getattr__)`` for a package that re-exports names
+    from its submodules (``{".submodule": (names...)}``) but imports
+    each submodule only when one of its names is first used (PEP 562),
+    so a process that needs one submodule does not load its siblings.
+    """
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(where[name], package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return list(where), __getattr__
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -25,7 +25,7 @@ from repro.backends.local import (
 )
 from repro.core import DPFS
 from repro.core.brick import subfile_names
-from repro.core.checksum import CRC_ALGORITHM, checksum
+from repro.checksum import CRC_ALGORITHM, checksum
 from repro.metadb import Database
 
 LEGACY_DDL = (

@@ -10,7 +10,7 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint, fsck, scrub
-from repro.core.crashpoints import SimulatedCrash, arm, disarm, registered
+from repro.crashpoints import SimulatedCrash, arm, disarm, registered
 from repro.core.fsck import usage_oracle
 from repro.metadb import Database
 

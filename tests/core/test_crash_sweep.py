@@ -34,7 +34,7 @@ import pytest
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint, fsck, scrub
 from repro.core.brick import file_id_of, subfile_names
-from repro.core.crashpoints import (
+from repro.crashpoints import (
     SimulatedCrash,
     arm,
     armed,

@@ -9,7 +9,7 @@ from repro.backends.local import LocalBackend
 from repro.backends.memory import MemoryBackend
 from repro.core import DPFS, Hint, fsck
 from repro.core.brick import file_id_of, subfile_names
-from repro.core.crashpoints import SimulatedCrash
+from repro.crashpoints import SimulatedCrash
 from repro.errors import MetaDBError, MultiServerError
 from repro.metadb import Database
 

@@ -16,7 +16,7 @@ import pytest
 from repro.backends.faulty import FaultyBackend
 from repro.backends.local import SIDECAR_SUFFIX, XATTR, LocalBackend
 from repro.core import DPFS, Hint, fsck, scrub
-from repro.core.crashpoints import SimulatedCrash
+from repro.crashpoints import SimulatedCrash
 from repro.errors import ChecksumError, MultiServerError
 from repro.metadb import Database
 

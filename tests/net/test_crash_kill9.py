@@ -13,7 +13,7 @@ state.
 
 The child is armed through the environment
 (``DPFS_CRASHPOINT=... DPFS_CRASHPOINT_MODE=exit``) and dies with
-:data:`repro.core.crashpoints.CRASH_EXIT_CODE`, so the parent can tell
+:data:`repro.crashpoints.CRASH_EXIT_CODE`, so the parent can tell
 a simulated crash from any ordinary failure.
 """
 
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import repro
 from repro.core import DPFS, fsck, scrub
-from repro.core.crashpoints import CRASH_EXIT_CODE
+from repro.crashpoints import CRASH_EXIT_CODE
 from repro.metadb import Database
 from repro.net import ChaosProxy, DPFSServer
 

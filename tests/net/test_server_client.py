@@ -1,14 +1,22 @@
 """Integration tests for the real TCP server/client transport (§2)."""
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+import repro.net.server as server_mod
+from repro.backends.local import escape_subfile_name, read_subfile
 from repro.core import DPFS, Hint
 from repro.core.brick import subfile_names
-from repro.errors import FileSystemError, TransportError
+from repro.errors import FileSystemError, ServerBusyError, TransportError
 from repro.net import DPFSServer, RemoteBackend, ServerConnection
 
 
@@ -75,6 +83,75 @@ def test_stop_is_prompt(tmp_path):
     conn.close()
     with pytest.raises(TransportError):
         ServerConnection(*server.address)
+
+
+def test_stop_waits_out_a_write_in_service(tmp_path, monkeypatch):
+    """stop() returns only once the write holding the I/O lock has
+    stamped its sidecar, and admits no data op after it."""
+    entered, release = threading.Event(), threading.Event()
+    real_write = server_mod.write_subfile
+
+    def held_write(*args, **kwargs):
+        entered.set()
+        assert release.wait(10)
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "write_subfile", held_write)
+    server = DPFSServer(tmp_path / "srv").start()
+    conn = ServerConnection(*server.address, pool_size=2)
+    conn.create("/f")
+    payload = b"x" * 5000
+    writer = threading.Thread(target=conn.write, args=("/f", [(100, 5000)], payload))
+    stopper = threading.Thread(target=server.stop)
+    try:
+        writer.start()
+        assert entered.wait(10)
+        stopper.start()
+        stopper.join(0.3)
+        assert stopper.is_alive(), "stop() returned with a write in service"
+    finally:
+        release.set()
+    stopper.join(10)
+    writer.join(10)
+    assert not stopper.is_alive() and not writer.is_alive()
+    path = server._path("/f")
+    assert read_subfile(path, "/f", [(0, 8192)]) == bytes(100) + payload + bytes(3092)
+    with pytest.raises(ServerBusyError):
+        conn.read("/f", [(0, 10)])
+    conn.close()
+
+
+def test_sigterm_stops_a_cli_server_like_ctrl_c(tmp_path):
+    """SIGTERM runs DPFSServer.stop(): the process exits promptly, 0."""
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "server", "--root", str(tmp_path / "s"),
+         "--port", "0"],
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("dpfs server on "), line
+        host, port = line.split()[3].rstrip(",").rsplit(":", 1)
+        conn = ServerConnection(host, int(port))
+        conn.create("/f")
+        conn.write("/f", [(0, 4)], b"data")
+        start = time.perf_counter()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        assert time.perf_counter() - start < 5
+        conn.close()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    path = str(tmp_path / "s" / escape_subfile_name("/f"))
+    assert read_subfile(path, "/f", [(0, 4)]) == b"data"
 
 
 def test_connect_refused_raises_transport_error():

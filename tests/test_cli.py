@@ -152,7 +152,7 @@ def _crash_mid_remove(root):
     """Leave a removed file's subfiles + pending intent behind, like a
     dead client would."""
     from repro.core import DPFS, Hint
-    from repro.core.crashpoints import SimulatedCrash, arm, disarm
+    from repro.crashpoints import SimulatedCrash, arm, disarm
 
     data = bytes(range(256)) * 16
     fs = DPFS.local(root, n_servers=4, io_workers=1)
