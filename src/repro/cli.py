@@ -179,7 +179,11 @@ def _cmd_server(args: argparse.Namespace) -> int:
         # SIGTERM stops the server the way Ctrl-C does: through stop(),
         # which lets a write in service finish with its sidecar stamps
         signal.signal(signal.SIGTERM, signal.default_int_handler)
-        print(f"dpfs server on {host}:{port}, storage at {args.root} — Ctrl-C stops")
+        # flushed: a supervisor reading a pipe needs the port now
+        print(
+            f"dpfs server on {host}:{port}, storage at {args.root} — Ctrl-C stops",
+            flush=True,
+        )
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

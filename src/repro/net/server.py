@@ -65,8 +65,14 @@ class _Handler(socketserver.BaseRequestHandler):
                 # connection quietly instead of killing the handler
                 # thread with an unhandled-exception traceback
                 return
+            if self.server.owner._stopped:
+                return
             try:
                 reply, data = self.server.owner._dispatch(header, payload)
+            except _Stopped:
+                # a stopped server closes the connection unanswered, so
+                # the client sees ConnectionLost and marks it DOWN
+                return
             except Exception as exc:  # noqa: BLE001 - reported to the client
                 reply, data = (
                     {
@@ -86,6 +92,10 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     owner: "DPFSServer"
+
+
+class _Stopped(Exception):
+    """A data op reached ``_io_lock`` after :meth:`DPFSServer.stop`."""
 
 
 class ServerBusy(Exception):
@@ -126,7 +136,8 @@ class DPFSServer:
         self._thread: threading.Thread | None = None
         self._io_lock = threading.Lock()
         #: set by :meth:`stop` under ``_io_lock``; no read or write
-        #: starts after it
+        #: starts after it, and every connection closes at its next
+        #: request
         self._stopped = False
         self.requests_served = 0
         self.requests_rejected = 0
@@ -196,7 +207,7 @@ class DPFSServer:
     def _check_running(self) -> None:
         """Refuse a data op once :meth:`stop` has run (under ``_io_lock``)."""
         if self._stopped:
-            raise ServerBusy(f"{self.name} is stopping; try again later")
+            raise _Stopped(self.name)
 
     def _path(self, name: str) -> str:
         return os.path.join(self.root, escape_subfile_name(name))

@@ -16,7 +16,11 @@ import repro.net.server as server_mod
 from repro.backends.local import escape_subfile_name, read_subfile
 from repro.core import DPFS, Hint
 from repro.core.brick import subfile_names
-from repro.errors import FileSystemError, ServerBusyError, TransportError
+from repro.errors import (
+    ConnectionLost,
+    FileSystemError,
+    TransportError,
+)
 from repro.net import DPFSServer, RemoteBackend, ServerConnection
 
 
@@ -116,8 +120,23 @@ def test_stop_waits_out_a_write_in_service(tmp_path, monkeypatch):
     assert not stopper.is_alive() and not writer.is_alive()
     path = server._path("/f")
     assert read_subfile(path, "/f", [(0, 8192)]) == bytes(100) + payload + bytes(3092)
-    with pytest.raises(ServerBusyError):
+    with pytest.raises(ConnectionLost):
         conn.read("/f", [(0, 10)])
+    conn.close()
+
+
+def test_stopped_server_closes_connections_open_before_stop(tmp_path):
+    """After stop() every op on a pooled socket, not only read and
+    write, is answered by closing it: the client sees ConnectionLost
+    and stops counting the server UP."""
+    server = DPFSServer(tmp_path / "srv").start()
+    conn = ServerConnection(*server.address, pool_size=1, down_after=1)
+    conn.create("/f")
+    server.stop()
+    with pytest.raises(ConnectionLost):
+        conn.create("/g")
+    assert not os.path.exists(server._path("/g"))
+    assert conn.health_snapshot()["health"] == "DOWN"
     conn.close()
 
 
@@ -126,6 +145,8 @@ def test_sigterm_stops_a_cli_server_like_ctrl_c(tmp_path):
     env = dict(
         os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])
     )
+    # stdout is a pipe, block-buffered unless the server flushes its line
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "server", "--root", str(tmp_path / "s"),
          "--port", "0"],
@@ -134,7 +155,14 @@ def test_sigterm_stops_a_cli_server_like_ctrl_c(tmp_path):
         text=True,
     )
     try:
-        line = proc.stdout.readline()
+        lines: list[str] = []
+        reader = threading.Thread(
+            target=lambda: lines.append(proc.stdout.readline()), daemon=True
+        )
+        reader.start()
+        reader.join(10)
+        assert lines, "no listen line within 10 s"
+        line = lines[0]
         assert line.startswith("dpfs server on "), line
         host, port = line.split()[3].rstrip(",").rsplit(":", 1)
         conn = ServerConnection(host, int(port))
